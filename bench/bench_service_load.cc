@@ -19,8 +19,8 @@
 // server's own cache/certification counters, and writes everything to
 // --json (BENCH_service.json).
 //
-//   ./bench/bench_service_load --scale=1 --duration-s=5
-//   ./bench/bench_service_load --scale=1 --zipf=0.99 --measure=rwr
+//   ./bench/bench_service_load                # BENCH_service.json config
+//   ./bench/bench_service_load --measure=rwr --zipf=0
 //   ./bench/bench_service_load --scale=0.05 --deadline-us=0   # certified
 //
 // Everything — IO thread, 4 workers, client threads — shares whatever
@@ -93,7 +93,7 @@ struct ClientStats {
   // certified_cold is the subset of certified that MISSED the result
   // cache — the queries that actually ran a proof. Under Zipf skew the
   // merged certified track is dominated by microsecond cache hits, which
-  // buries the latency the search machinery (parallel sweeps, warm
+  // buries the latency the search machinery (bound sweeps, warm
   // subgraphs) is responsible for; the cold track is that latency.
   std::vector<uint64_t> certified_us;
   std::vector<uint64_t> certified_cold_us;
@@ -167,13 +167,12 @@ int Run(int argc, char** argv) {
   int64_t workers = 4;
   int64_t connections = 4;
   int64_t duration_s = 5;
-  int64_t deadline_us = 50;
+  int64_t deadline_us = 5000;
   int64_t k = 10;
   int64_t max_queue = 256;
   int64_t query_cache = 4096;
   int64_t subgraph_cache = 64;
-  int64_t sweep_threads = 1;
-  double zipf = 0.0;
+  double zipf = 0.99;
   std::string measure_name = "php";
   int64_t seed = 42;
   std::string json_path = "BENCH_service.json";
@@ -190,8 +189,6 @@ int Run(int argc, char** argv) {
                "server certified-result cache entries (0 = disable)");
   flags.AddInt("subgraph-cache", &subgraph_cache,
                "server warm expanded-subgraph cache entries (0 = disable)");
-  flags.AddInt("sweep-threads", &sweep_threads,
-               "server threads per query for parallel sweeps (1 = serial)");
   flags.AddDouble("zipf", &zipf,
                   "query-node skew exponent (0 = uniform; 0.99 = web-like)");
   flags.AddString("measure", &measure_name, "php|ei|dht|tht|rwr");
@@ -229,7 +226,6 @@ int Run(int argc, char** argv) {
       query_cache > 0 ? static_cast<size_t>(query_cache) : 0;
   options.subgraph_cache_capacity =
       subgraph_cache > 0 ? static_cast<size_t>(subgraph_cache) : 0;
-  options.sweep_threads = static_cast<int>(sweep_threads);
   flos::ServiceServer server(&graph, options);
   flos::bench::CheckOk(server.Start());
 
@@ -373,7 +369,6 @@ int Run(int argc, char** argv) {
         "    \"zipf\": %.2f,\n"
         "    \"query_cache_entries\": %lld,\n"
         "    \"subgraph_cache_entries\": %lld,\n"
-        "    \"sweep_threads\": %lld,\n"
         "    \"host_cpus\": %d,\n"
         "%s"
         "    \"duration_s\": %.2f,\n"
@@ -405,7 +400,7 @@ int Run(int argc, char** argv) {
         static_cast<long long>(deadline_us), static_cast<long long>(k), zipf,
         static_cast<long long>(query_cache),
         static_cast<long long>(subgraph_cache),
-        static_cast<long long>(sweep_threads), host_cpus, host_note.c_str(),
+        host_cpus, host_note.c_str(),
         elapsed_s, qps,
         static_cast<unsigned long long>(Percentile(all_us, 0.50)),
         static_cast<unsigned long long>(Percentile(all_us, 0.95)),

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/expansion_policy.h"
 #include "core/predicate.h"
 #include "core/sweep_kernel.h"
 #include "graph/accessor.h"
@@ -59,26 +58,10 @@ struct FlosOptions {
   /// the search may visit slightly more nodes in exchange for far fewer
   /// O(edges(S)) bound solves. The ablation bench quantifies the trade.
   uint32_t expansion_batch = 0;
-  /// How the boundary is ranked for expansion (core/expansion_policy.h).
-  /// Exactness holds under ANY schedule; policies only trade how many
-  /// nodes are visited before certification.
-  ExpansionPolicyKind expansion_policy = ExpansionPolicyKind::kBestFirst;
   /// Which kernel implementation runs the fixed-point inner solves
   /// (core/sweep_kernel.h). kAuto picks the AVX2 blocked-ELL backend when
   /// the CPU supports it, the scalar reference kernel otherwise.
   SweepBackendKind sweep_backend = SweepBackendKind::kAuto;
-  /// Worker threads for intra-query parallel bound sweeps (block-Jacobi
-  /// across contiguous row chunks, Gauss–Seidel within — see
-  /// core/sweep_kernel.h). 1 = serial (default). With t > 1 the engine
-  /// owns a dedicated team of t - 1 workers and the calling thread runs
-  /// the remaining chunk, so t threads sweep in total. Deterministic and
-  /// certification-preserving; small visited sets stay serial (see
-  /// sweep_parallel_min_rows).
-  int sweep_threads = 1;
-  /// Visited-set size below which sweeps stay serial even when
-  /// sweep_threads > 1 (synchronization costs more than chunking saves on
-  /// small systems).
-  uint32_t sweep_parallel_min_rows = 4096;
   /// If > 0, stop after visiting this many nodes and return the current
   /// best-effort ranking (stats.exact will be false). 0 = run to proof.
   uint64_t max_visited = 0;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
-#include "core/expansion_policy.h"
 #include "core/measure_traits.h"
 #include "util/check.h"
 
@@ -129,17 +129,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
   }
   const bool warm_hit = warm != nullptr;
 
-  // Per-engine sweep team for intra-query parallel sweeps: t threads total
-  // = t - 1 pool workers + the calling thread running its own chunk.
-  // Lazily (re)created only when the requested count changes, so
-  // steady-state serving keeps one warm team per session.
-  const int want_workers = std::max(0, options.sweep_threads - 1);
-  if (want_workers == 0) {
-    sweep_pool_.reset();
-  } else if (!sweep_pool_ || sweep_pool_->num_threads() != want_workers) {
-    sweep_pool_ = std::make_unique<ThreadPool>(want_workers);
-  }
-
   // Rewind the workspace for this query; an error return leaves it ready
   // to be rewound again, so failed calls don't poison the engine. On a
   // warm-subgraph hit the expansion state is restored from the snapshot
@@ -159,8 +148,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     ub.max_inner_iterations = options.max_inner_iterations;
     ub.self_loop_tightening = options.self_loop_tightening;
     ub.backend = options.sweep_backend;
-    ub.sweep_pool = sweep_pool_.get();
-    ub.parallel_min_rows = options.sweep_parallel_min_rows;
     ub.deadline = options.deadline;
     bounds_.Reset(ub);
   }
@@ -224,14 +211,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
 
   selected_.clear();  // current certified-or-not top-k
 
-  // Expansion-policy context: the certification threshold of the most
-  // recent termination check feeds the next frontier ranking (the
-  // bound-gap policy scores nodes by how much they block that proof).
-  const ExpansionPolicy* const policy =
-      GetExpansionPolicy(options.expansion_policy);
-  ExpansionContext policy_context;
-  policy_context.minimize = minimize;
-
   // Termination check (Algorithm 6 + the RWR extension). Fills `selected_`
   // with the current top-k interior candidates either way. Filtered
   // queries rank MATCHING interior nodes only; non-matching visited nodes
@@ -265,8 +244,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
       threshold = minimize ? std::max(threshold, c.rank_upper)
                            : std::min(threshold, c.rank_lower);
     }
-    policy_context.has_threshold = true;
-    policy_context.threshold = threshold;
     // Opponents: every other candidate's optimistic value, plus the whole
     // boundary's (filtered or not — see the lambda comment above).
     double best_other = minimize ? 1e300 : -1e300;
@@ -368,8 +345,9 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     phase_lap(&stats.select_ns);
   }
   while (!certified) {
-    // Rank the boundary by the expansion policy (Algorithm 3 is the
-    // best-first default); at t=1 the only boundary node is the query.
+    // Rank the boundary best-first by interval midpoint (Algorithm 3); for
+    // minimize measures a smaller midpoint means closer, so negate. At t=1
+    // the only boundary node is the query.
     // Nodes past expandable_limit stay boundary forever: their bounds keep
     // competing in the termination check, but expanding them is unsound on
     // a shard (their adjacency may be halo-truncated).
@@ -382,10 +360,9 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
         clipped = true;
         continue;
       }
-      const double priority =
-          policy->Priority(rank_of(i, bounds_.lower(i)),
-                           rank_of(i, bounds_.upper(i)), policy_context);
-      frontier_.push_back({priority, i});
+      const double mid =
+          0.5 * (rank_of(i, bounds_.lower(i)) + rank_of(i, bounds_.upper(i)));
+      frontier_.push_back({minimize ? -mid : mid, i});
     }
     if (frontier_.empty()) {
       if (clipped) {

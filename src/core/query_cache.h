@@ -24,7 +24,7 @@
 // Only certified results (stats.exact) are admitted: uncertified answers
 // depend on the deadline that produced them and are not reusable facts.
 // One cache instance assumes one solver configuration (tolerance,
-// tightenings, expansion policy) — the serving layer's situation, where
+// tightenings, expansion batch) — the serving layer's situation, where
 // ServerOptions fixes them; the per-request knobs are all in the key.
 //
 // Thread-safe: one mutex guards the map + LRU list (a leaf lock in the

@@ -29,16 +29,6 @@
 // engine invalidates it on every growth; rebuilds cost about one sweep and
 // amortize over the sweeps of that outer iteration.
 //
-// Parallel sweeps (FixedPointSweepArgs::pool): the non-query rows are first
-// cut into contiguous chunks balanced by entry count (the same partition
-// the scalar backend uses), then length-sorted and block-packed WITHIN each
-// chunk. Cross-chunk column indexes are rebased by +2n into the snapshot
-// half of the bound allocation at pack time — the layout contract on
-// FixedPointSweepArgs guarantees snapshot == bounds + 2n — so the gather
-// kernel is unchanged: one base pointer serves live and snapshot reads.
-// Each chunk's block range runs as one task (chunk 0 on the caller),
-// writing only its own rows and delta slot.
-//
 // This is the ONLY translation unit allowed to use raw SIMD intrinsics
 // (scripts/lint.py no-raw-intrinsics). Per-function target attributes keep
 // the rest of the build free of -mavx2, so the binary still runs on
@@ -53,7 +43,6 @@
 
 #include "core/sweep_kernel.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace flos {
 
@@ -62,11 +51,6 @@ namespace {
 // Pad-lane marker in the block row table.
 constexpr LocalId kPadRow = static_cast<LocalId>(-1);
 
-/// Cache-line-padded per-chunk delta slot (no false sharing on commit).
-struct alignas(64) PaddedDelta {
-  double value = 0;
-};
-
 class Avx2SweepBackend final : public SweepBackend {
  public:
   const char* name() const override { return "avx2"; }
@@ -74,193 +58,96 @@ class Avx2SweepBackend final : public SweepBackend {
   void InvalidateStructure() override { dirty_ = true; }
 
   double FusedSweep(const FixedPointSweepArgs& args) override {
-    const uint32_t chunks = DesiredChunks(args);
-    if (dirty_ || built_chunks_ != chunks) Rebuild(*args.local, chunks);
-    if (chunks > 1) return ParallelSweep</*lower_only=*/false>(args);
-    return Sweep</*lower_only=*/false>(args, 0, NumBlocks());
+    if (dirty_) Rebuild(*args.local);
+    return Sweep</*lower_only=*/false>(args);
   }
 
   double LowerSweep(const FixedPointSweepArgs& args) override {
-    const uint32_t chunks = DesiredChunks(args);
-    if (dirty_ || built_chunks_ != chunks) Rebuild(*args.local, chunks);
-    if (chunks > 1) return ParallelSweep</*lower_only=*/true>(args);
-    return Sweep</*lower_only=*/true>(args, 0, NumBlocks());
+    if (dirty_) Rebuild(*args.local);
+    return Sweep</*lower_only=*/true>(args);
   }
 
  private:
-  uint32_t NumBlocks() const {
-    return static_cast<uint32_t>(block_width_.size());
-  }
-
-  uint32_t DesiredChunks(const FixedPointSweepArgs& args) const {
-    if (args.pool == nullptr || args.chunks < 2 || args.snapshot == nullptr) {
-      return 1;
-    }
-    const LocalGraph& local = *args.local;
-    return local.Size() - local.query_count() >= args.chunks ? args.chunks : 1;
-  }
-
-  void Rebuild(const LocalGraph& local, uint32_t chunks) {
+  void Rebuild(const LocalGraph& local) {
     const uint32_t n = local.Size();
-    // Gathers address bounds[2 * idx] through signed 32-bit indexes; the
-    // parallel layout also rebases cross-chunk indexes by +2n into the
-    // snapshot half, so its indexes reach up to 4n - 2.
+    // Gathers address bounds[2 * idx] through signed 32-bit indexes.
     FLOS_DCHECK(n < (1u << 30), "visited set too large for the AVX2 layout");
-    if (chunks > 1) {
-      FLOS_DCHECK(n < (1u << 29),
-                  "visited set too large for the parallel AVX2 layout");
-    }
     const uint32_t q = local.query_count();
     const uint32_t rows = n > q ? n - q : 0;
 
-    // Contiguous partition of the non-query rows balanced by entry count
-    // (matches the scalar backend's partition for a given chunk count).
-    size_t total_entries = 0;
+    // Counting sort of non-query rows by length, descending, stable. Query
+    // rows are pinned — their dot products are never consumed — so they are
+    // simply left out of the layout.
+    lens_.assign(rows, 0);
+    uint32_t maxlen = 0;
     for (uint32_t r = 0; r < rows; ++r) {
-      total_entries += local.Row(q + r).len;
+      const uint32_t len = local.Row(q + r).len;
+      lens_[r] = len;
+      maxlen = std::max(maxlen, len);
     }
-    chunk_begin_.assign(static_cast<size_t>(chunks) + 1, n);
-    chunk_begin_[0] = q;
-    {
-      size_t seen = 0;
-      uint32_t next_cut = 1;
-      for (LocalId i = q; i < n && next_cut < chunks; ++i) {
-        seen += local.Row(i).len;
-        if (seen * chunks >= total_entries * next_cut &&
-            i + 1 + (chunks - next_cut) <= n) {
-          chunk_begin_[next_cut++] = i + 1;
-        }
-      }
+    starts_.assign(static_cast<size_t>(maxlen) + 1, 0);
+    for (uint32_t r = 0; r < rows; ++r) ++starts_[lens_[r]];
+    uint32_t running = 0;
+    for (uint32_t len = maxlen;; --len) {
+      const uint32_t count = starts_[len];
+      starts_[len] = running;
+      running += count;
+      if (len == 0) break;
     }
+    order_.resize(rows);
+    for (uint32_t r = 0; r < rows; ++r) order_[starts_[lens_[r]]++] = q + r;
 
-    // Per chunk: counting sort its rows by length (descending, stable),
-    // then pack blocks of 4 rows, column-major, padded to the block max
-    // length. Query rows are pinned — their dot products are never
-    // consumed — so they are simply left out of the layout.
-    block_rows_.clear();
-    block_width_.clear();
-    block_off_.clear();
-    chunk_blocks_.assign(static_cast<size_t>(chunks) + 1, 0);
+    // Pack blocks of 4 rows, column-major, padded to the block max length.
+    const uint32_t blocks = (rows + 3) / 4;
+    block_rows_.assign(static_cast<size_t>(blocks) * 4, kPadRow);
+    block_width_.assign(blocks, 0);
+    block_off_.assign(static_cast<size_t>(blocks) + 1, 0);
     size_t total = 0;
-    for (uint32_t c = 0; c < chunks; ++c) {
-      chunk_blocks_[c] = NumBlocks();
-      const LocalId begin = chunk_begin_[c];
-      const LocalId end = chunk_begin_[c + 1];
-      const uint32_t crows = end - begin;
-      lens_.assign(crows, 0);
-      uint32_t maxlen = 0;
-      for (uint32_t r = 0; r < crows; ++r) {
-        const uint32_t len = local.Row(begin + r).len;
-        lens_[r] = len;
-        maxlen = std::max(maxlen, len);
+    for (uint32_t b = 0; b < blocks; ++b) {
+      uint32_t width = 0;
+      for (uint32_t lane = 0; lane < 4; ++lane) {
+        const size_t slot = static_cast<size_t>(b) * 4 + lane;
+        if (slot >= rows) break;
+        block_rows_[slot] = order_[slot];
+        width = std::max(width, local.Row(order_[slot]).len);
       }
-      starts_.assign(static_cast<size_t>(maxlen) + 1, 0);
-      for (uint32_t r = 0; r < crows; ++r) ++starts_[lens_[r]];
-      uint32_t running = 0;
-      for (uint32_t len = maxlen;; --len) {
-        const uint32_t count = starts_[len];
-        starts_[len] = running;
-        running += count;
-        if (len == 0) break;
-      }
-      order_.resize(crows);
-      for (uint32_t r = 0; r < crows; ++r) {
-        order_[starts_[lens_[r]]++] = begin + r;
-      }
-      const uint32_t blocks = (crows + 3) / 4;
-      for (uint32_t b = 0; b < blocks; ++b) {
-        uint32_t width = 0;
-        for (uint32_t lane = 0; lane < 4; ++lane) {
-          const size_t slot = static_cast<size_t>(b) * 4 + lane;
-          if (slot < crows) {
-            block_rows_.push_back(order_[slot]);
-            width = std::max(width, local.Row(order_[slot]).len);
-          } else {
-            block_rows_.push_back(kPadRow);
-          }
-        }
-        block_width_.push_back(width);
-        block_off_.push_back(total);
-        total += static_cast<size_t>(width) * 4;
-      }
+      block_width_[b] = width;
+      block_off_[b] = total;
+      total += static_cast<size_t>(width) * 4;
     }
-    chunk_blocks_[chunks] = NumBlocks();
-    block_off_.push_back(total);
+    block_off_[blocks] = total;
     ell_idx_.assign(total, 0);
     ell_weight_.assign(total, 0.0);
-    for (uint32_t c = 0; c < chunks; ++c) {
-      const LocalId begin = chunk_begin_[c];
-      const uint32_t span = chunk_begin_[c + 1] - begin;
-      for (uint32_t b = chunk_blocks_[c]; b < chunk_blocks_[c + 1]; ++b) {
-        for (uint32_t lane = 0; lane < 4; ++lane) {
-          const LocalId i = block_rows_[static_cast<size_t>(b) * 4 + lane];
-          if (i == kPadRow) continue;
-          const LocalRow row = local.Row(i);
-          for (uint32_t e = 0; e < row.len; ++e) {
-            // The audit-tier CSR validity checks run here, once per rebuild
-            // — the same coverage the scalar path gets per sweep.
-            FLOS_AUDIT(row.idx[e] < n, "local CSR column index out of range");
-            FLOS_AUDIT(row.weight[e] >= 0.0,
-                       "negative transition probability in local CSR");
-            const LocalId j = row.idx[e];
-            // Own-chunk columns read live bounds (index 2j); cross-chunk
-            // columns are rebased into the snapshot half (index 2n + 2j).
-            // Query columns always read live: they are pinned — no sweep
-            // writes them — so the read is race-free, and in the serial
-            // layout (chunks == 1, no snapshot half allocated) rebasing
-            // them would gather past the end of the bound vector.
-            const bool own =
-                j < q || static_cast<uint32_t>(j - begin) < span;
-            const size_t at =
-                block_off_[b] + static_cast<size_t>(e) * 4 + lane;
-            ell_idx_[at] = static_cast<int32_t>(2u * (own ? j : n + j));
-            ell_weight_[at] = row.weight[e];
-          }
+    for (uint32_t b = 0; b < blocks; ++b) {
+      for (uint32_t lane = 0; lane < 4; ++lane) {
+        const LocalId i = block_rows_[static_cast<size_t>(b) * 4 + lane];
+        if (i == kPadRow) continue;
+        const LocalRow row = local.Row(i);
+        for (uint32_t e = 0; e < row.len; ++e) {
+          // The audit-tier CSR validity checks run here, once per rebuild —
+          // the same coverage the scalar path gets per sweep.
+          FLOS_AUDIT(row.idx[e] < n, "local CSR column index out of range");
+          FLOS_AUDIT(row.weight[e] >= 0.0,
+                     "negative transition probability in local CSR");
+          const size_t at = block_off_[b] + static_cast<size_t>(e) * 4 + lane;
+          ell_idx_[at] = static_cast<int32_t>(2u * row.idx[e]);
+          ell_weight_[at] = row.weight[e];
         }
       }
     }
-    built_chunks_ = chunks;
     dirty_ = false;
   }
 
   template <bool lower_only>
-  double ParallelSweep(const FixedPointSweepArgs& args) {
-    FLOS_DCHECK(args.snapshot ==
-                    args.bounds + 2 * static_cast<size_t>(args.local->Size()),
-                "parallel sweep snapshot must be the upper half of the "
-                "bound allocation");
-    const uint32_t chunks = built_chunks_;
-    deltas_.assign(chunks, PaddedDelta{});
-    for (uint32_t c = 1; c < chunks; ++c) {
-      const Status submitted = args.pool->Submit([this, &args, c] {
-        deltas_[c].value =
-            Sweep<lower_only>(args, chunk_blocks_[c], chunk_blocks_[c + 1]);
-      });
-      // A shut-down pool cannot run the chunk; run it on the caller so the
-      // sweep still covers every row.
-      if (!submitted.ok()) {
-        deltas_[c].value =
-            Sweep<lower_only>(args, chunk_blocks_[c], chunk_blocks_[c + 1]);
-      }
-    }
-    deltas_[0].value =
-        Sweep<lower_only>(args, chunk_blocks_[0], chunk_blocks_[1]);
-    args.pool->Wait();
-    double delta = 0;
-    for (const PaddedDelta& d : deltas_) delta = std::max(delta, d.value);
-    return delta;
-  }
-
-  template <bool lower_only>
   __attribute__((target("avx2,fma"))) double Sweep(
-      const FixedPointSweepArgs& args, uint32_t block_begin,
-      uint32_t block_end) {
+      const FixedPointSweepArgs& args) {
     double delta = 0;
     double* const bounds = args.bounds;
     const __m256d zero = _mm256_setzero_pd();
     const __m256d pass = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
     const __m128i one = _mm_set1_epi32(1);
-    for (uint32_t b = block_begin; b < block_end; ++b) {
+    const uint32_t blocks = static_cast<uint32_t>(block_width_.size());
+    for (uint32_t b = 0; b < blocks; ++b) {
       const uint32_t width = block_width_[b];
       const int32_t* idx = ell_idx_.data() + block_off_[b];
       const double* weight = ell_weight_.data() + block_off_[b];
@@ -315,18 +202,14 @@ class Avx2SweepBackend final : public SweepBackend {
   }
 
   bool dirty_ = true;
-  uint32_t built_chunks_ = 0;  ///< chunk count the layout was packed for
   std::vector<uint32_t> lens_;
   std::vector<uint32_t> starts_;
   std::vector<LocalId> order_;
-  std::vector<LocalId> chunk_begin_;    ///< partition cuts (chunks + 1)
-  std::vector<uint32_t> chunk_blocks_;  ///< chunk -> block range (chunks + 1)
   std::vector<LocalId> block_rows_;
   std::vector<uint32_t> block_width_;
   std::vector<size_t> block_off_;
   std::vector<int32_t> ell_idx_;
   std::vector<double> ell_weight_;
-  std::vector<PaddedDelta> deltas_;
 };
 
 }  // namespace

@@ -30,8 +30,6 @@
 
 namespace flos {
 
-class ThreadPool;
-
 /// One fused sweep: body(i, s_lo, s_hi) with s_lo = sum_j p_ij lo[j],
 /// s_hi = sum_j p_ij hi[j], for i = 0..Size()-1 in visit order. `lo`/`hi`
 /// may alias vectors the body writes (Gauss–Seidel).
@@ -148,36 +146,6 @@ struct FixedPointSweepArgs {
   double dummy_mesh = 1.0;
   /// Star-to-mesh construction enabled (self_coeff/mesh_dummy_coeff live).
   bool self_loop = true;
-
-  // -------------------------------------------------------------------------
-  // Intra-sweep parallelism (block-Jacobi-across / Gauss–Seidel-within).
-  //
-  // When `pool` is non-null and `chunks > 1`, the backend partitions the
-  // non-query rows into `chunks` contiguous LocalId ranges (balanced by row
-  // entry counts) and runs them concurrently: `chunks - 1` ranges on the
-  // pool's workers, one on the calling thread. Within its range a chunk
-  // still updates in place (Gauss–Seidel: reads of OWN-range columns see
-  // this sweep's already-committed values), but every read of ANOTHER
-  // chunk's column comes from `snapshot` — an immutable copy of the bounds
-  // the caller takes immediately before each sweep. Soundness is the same
-  // monotone-mixture argument that justifies reordering (see
-  // core/unified_bound_engine.h): snapshot values are the previous sweep's
-  // certified bounds, own-range values are newer certified bounds, and any
-  // mixture fed to the monotone row operators yields certified bounds again
-  // that are elementwise no looser than the Jacobi iterate from the
-  // snapshot. The partition is a pure function of the CSR structure and
-  // `chunks`, and cross-chunk reads never touch live data, so the result is
-  // DETERMINISTIC regardless of thread scheduling — and race-free: each
-  // chunk writes only its own bound range and delta slot.
-  //
-  // Layout contract: `snapshot` MUST point at `bounds + 2 * local->Size()`
-  // inside the same allocation (the engine sizes its bound vector to 4n
-  // when a pool is attached). The AVX2 backend relies on the fixed +2n
-  // offset: cross-chunk column indexes are rebased into the snapshot half
-  // at ELL pack time, so one gather base pointer serves both halves.
-  ThreadPool* pool = nullptr;
-  uint32_t chunks = 1;
-  const double* snapshot = nullptr;
 };
 
 /// One sweep-kernel implementation. Thread-compatible; one instance per

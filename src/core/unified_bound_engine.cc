@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace flos {
 
@@ -34,7 +33,6 @@ void UnifiedBoundEngine::Reset(const UnifiedBoundOptions& options) {
   }
   backend_->InvalidateStructure();
   deadline_hit_ = false;
-  nodes_ = 0;
   bounds_.clear();
   self_coeff_.clear();
   mesh_dummy_coeff_.clear();
@@ -47,14 +45,8 @@ void UnifiedBoundEngine::Reset(const UnifiedBoundOptions& options) {
 
 void UnifiedBoundEngine::OnGrowth() {
   const uint32_t n = local_->Size();
-  const size_t old_nodes = nodes_;
-  nodes_ = n;
-  // With a sweep pool attached the vector carries a second half for the
-  // per-sweep parallel snapshot (FixedPointSweepArgs layout contract); its
-  // contents are rewritten before every parallel sweep, so it needs no
-  // initialization here.
-  const size_t slots = options_.sweep_pool != nullptr ? 4 : 2;
-  bounds_.resize(slots * static_cast<size_t>(n));
+  const size_t old_nodes = bounds_.size() / 2;
+  bounds_.resize(2 * static_cast<size_t>(n));
   if (options_.traits.family == BoundFamily::kFixedPoint) {
     // New nodes: lower = 0, upper = 1 are valid PHP-form bounds (all
     // proximities lie in [0, 1]; non-query nodes are in fact <= alpha).
@@ -139,7 +131,8 @@ void UnifiedBoundEngine::CaptureDummyFromBoundary() {
 }
 
 void UnifiedBoundEngine::AuditBoundSandwich(const char* where) const {
-  for (size_t i = 0; i < nodes_; ++i) {
+  const size_t n = bounds_.size() / 2;
+  for (size_t i = 0; i < n; ++i) {
     FLOS_CHECK_LE(bounds_[2 * i], bounds_[2 * i + 1] + kSandwichSlack, where);
   }
 }
@@ -149,7 +142,7 @@ void UnifiedBoundEngine::AuditNoLooserThanJacobi(
   // Jacobi-iterate floor: one scalar clamped row update evaluated entirely
   // on `prev` (the bounds as they stood before the sweep). The slack
   // absorbs fp reassociation between this reference evaluation and the
-  // backend's (SIMD lockstep, chunked) one.
+  // backend's (SIMD lockstep) one.
   constexpr double kJacobiSlack = 1e-9;
   const double* const p = prev.data();
   FusedPairRowSweep(*local_, p, [&](LocalId i, double s_lo, double s_hi) {
@@ -271,19 +264,7 @@ FixedPointSweepArgs UnifiedBoundEngine::SweepArgs() {
 uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
   const bool has_deadline =
       options_.deadline != std::chrono::steady_clock::time_point::max();
-  FixedPointSweepArgs args = SweepArgs();
-  // Adaptive parallel selection: a pure function of the visited size, so
-  // the choice is stable for a fixed structure (it can only flip at
-  // growth, which also invalidates the backend layout).
-  const bool parallel =
-      options_.sweep_pool != nullptr &&
-      nodes_ >= std::max<uint32_t>(options_.parallel_min_rows, 2);
-  if (parallel) {
-    args.pool = options_.sweep_pool;
-    args.chunks =
-        static_cast<uint32_t>(options_.sweep_pool->num_threads()) + 1;
-    args.snapshot = bounds_.data() + 2 * nodes_;
-  }
+  const FixedPointSweepArgs args = SweepArgs();
   uint32_t iters = 0;
   deadline_hit_ = false;
   // Audit tier: snapshot the incoming bounds so every sweep can be checked
@@ -300,11 +281,6 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
     // every fourth sweep.
     const bool check = iters < 4 || (iters & 3) == 3 ||
                        iters + 1 == options_.max_inner_iterations;
-    // Parallel sweeps read cross-chunk columns from an immutable pre-sweep
-    // snapshot: refresh it (the one per-sweep copy this design pays).
-    if (parallel) {
-      std::copy_n(bounds_.data(), 2 * nodes_, bounds_.data() + 2 * nodes_);
-    }
     const double delta = lower_only ? backend_->LowerSweep(args)
                                     : backend_->FusedSweep(args);
     ++iters;
@@ -313,7 +289,8 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
       // against the previous value with std::max/std::min, so monotonicity
       // must hold EXACTLY, sweep by sweep — any loosening means a value
       // escaped the clamp and is no longer certified.
-      for (size_t i = 0; i < nodes_; ++i) {
+      const size_t n = bounds_.size() / 2;
+      for (size_t i = 0; i < n; ++i) {
         FLOS_CHECK_GE(bounds_[2 * i], audit_prev[2 * i],
                       "lower bound loosened across a sweep");
         if (!lower_only) {
@@ -321,9 +298,9 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
                         "upper bound loosened across a sweep");
         }
       }
-      // Every sweep — serial Gauss–Seidel, SIMD-reordered, or parallel
-      // block — must land at least as tight as one Jacobi step from the
-      // pre-sweep state (the monotone-mixture floor).
+      // Every sweep — Gauss–Seidel or SIMD-reordered — must land at least
+      // as tight as one Jacobi step from the pre-sweep state (the
+      // monotone-mixture floor).
       AuditNoLooserThanJacobi(audit_prev, lower_only);
       AuditBoundSandwich("sandwich violated after a fused sweep");
       audit_prev = bounds_;
@@ -465,19 +442,19 @@ uint32_t UnifiedBoundEngine::FinalizeExhausted(double final_tolerance) {
   // A deadline-interrupted solve has not reached the exact fixed point yet;
   // collapsing would turn a valid lower bound into an invalid upper one.
   if (!deadline_hit_) {
-    for (size_t i = 0; i < nodes_; ++i) bounds_[2 * i + 1] = bounds_[2 * i];
+    const size_t n = bounds_.size() / 2;
+    for (size_t i = 0; i < n; ++i) bounds_[2 * i + 1] = bounds_[2 * i];
   }
   return iters;
 }
 
 void UnifiedBoundEngine::SaveBounds(std::vector<double>* out) const {
-  out->assign(bounds_.begin(),
-              bounds_.begin() + static_cast<ptrdiff_t>(2 * nodes_));
+  *out = bounds_;
 }
 
 void UnifiedBoundEngine::RestoreBounds(const double* data, size_t nodes,
                                        double dummy_mesh, double dummy_tight) {
-  FLOS_CHECK_EQ(nodes, nodes_,
+  FLOS_CHECK_EQ(nodes, bounds_.size() / 2,
                 "RestoreBounds size must match the restored local graph");
   std::copy_n(data, 2 * nodes, bounds_.data());
   dummy_mesh_ = dummy_mesh;

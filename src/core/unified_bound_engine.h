@@ -84,18 +84,6 @@ struct UnifiedBoundOptions {
   /// termination needs the frontier bound anyway).
   /// Which sweep-kernel implementation runs the fixed-point hot loop.
   SweepBackendKind backend = SweepBackendKind::kAuto;
-  /// Worker team for intra-sweep parallelism (block-Jacobi across
-  /// contiguous row chunks, Gauss–Seidel within; see FixedPointSweepArgs).
-  /// The pool must be DEDICATED to this engine while a solve runs — the
-  /// backend uses ThreadPool::Wait as its sweep barrier. nullptr = serial.
-  /// Not used by the horizon-DP family (its Jacobi double buffer is pinned
-  /// to bit-exact scalar evaluation).
-  ThreadPool* sweep_pool = nullptr;
-  /// Visited-set size below which solves stay serial even with a pool
-  /// attached (small systems lose more to submit/wait synchronization than
-  /// chunking saves). The decision is a pure function of the visited size,
-  /// so it can only flip at growth — never mid-structure.
-  uint32_t parallel_min_rows = 4096;
   /// Anytime hook: solves stop between sweeps once this instant passes
   /// (checked at the amortized convergence checkpoints). Every completed
   /// fixed-point sweep leaves certified bounds, so an interrupted solve is
@@ -229,8 +217,8 @@ class UnifiedBoundEngine {
 
   /// Audit tier: recomputes the clamped Jacobi iterate from `prev` with the
   /// scalar row operator and aborts if any live bound is looser than it —
-  /// the tightness floor every sweep (serial Gauss–Seidel, reordered SIMD,
-  /// parallel block) must clear by the monotone-mixture argument.
+  /// the tightness floor every sweep (Gauss–Seidel or reordered SIMD) must
+  /// clear by the monotone-mixture argument.
   void AuditNoLooserThanJacobi(const std::vector<double>& prev,
                                bool lower_only) const;
 
@@ -255,14 +243,7 @@ class UnifiedBoundEngine {
   UnifiedBoundOptions options_;
   std::unique_ptr<SweepBackend> backend_;
   SweepBackendKind backend_kind_ = SweepBackendKind::kAuto;
-  /// Number of live nodes (== local_->Size() after OnGrowth). bounds_ may
-  /// hold MORE than 2 * nodes_ doubles — with a sweep pool attached it is
-  /// sized 4n so [2n, 4n) can hold the per-sweep snapshot — so node counts
-  /// must come from here, never from bounds_.size().
-  size_t nodes_ = 0;
-  /// Interleaved (lower, upper) per LocalId in [0, 2 * nodes_); the
-  /// parallel-sweep snapshot half in [2 * nodes_, 4 * nodes_) when a sweep
-  /// pool is attached (see FixedPointSweepArgs layout contract).
+  /// Interleaved (lower, upper) per LocalId.
   std::vector<double> bounds_;
   /// Coefficient of r_i itself (self-loop) in the mesh construction.
   std::vector<double> self_coeff_;

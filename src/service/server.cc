@@ -166,7 +166,6 @@ QueryResponse ServiceServer::HandleQuery(
   opts.measure = decoded->measure;
   opts.c = decoded->c;
   opts.tht_length = static_cast<int>(decoded->tht_length);
-  opts.sweep_threads = options_.sweep_threads;
   if (decoded->deadline_us > 0) {
     opts.deadline =
         dequeue_time + std::chrono::microseconds(decoded->deadline_us);

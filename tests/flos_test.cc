@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
+#include "core/sweep_kernel.h"
 #include "measures/exact.h"
 #include "measures/measure.h"
 #include "tests/test_util.h"
@@ -205,15 +207,90 @@ TEST(FlosTest, MaxVisitedCutoffIsRespected) {
   EXPECT_LE(result.stats.visited_nodes, 30u + g.MaxWeightedDegree());
 }
 
+// Locality is what best-first expansion by interval midpoint (Algorithm 3)
+// buys, per measure: an expansion order that ignored the rank direction
+// (e.g. THT's minimize sign) would still certify, but only after visiting
+// most of the graph.
 TEST(FlosTest, VisitsSmallFractionOfLargerGraph) {
   const Graph g = RandomConnectedGraph(5000, 15000, 11);
-  FlosOptions options;
-  options.measure = Measure::kPhp;
-  const FlosResult result = ValueOrDie(FlosTopK(g, 42, 10, options));
-  EXPECT_TRUE(result.stats.exact);
-  EXPECT_LT(result.stats.visited_nodes, g.NumNodes() / 4)
-      << "FLoS should certify locally";
+  for (const Measure measure : {Measure::kPhp, Measure::kEi, Measure::kDht,
+                                Measure::kTht, Measure::kRwr}) {
+    FlosOptions options;
+    options.measure = measure;
+    options.tht_length = 3;
+    const FlosResult result = ValueOrDie(FlosTopK(g, 42, 10, options));
+    EXPECT_TRUE(result.stats.exact) << MeasureName(measure);
+    EXPECT_LT(result.stats.visited_nodes, g.NumNodes() / 4)
+        << MeasureName(measure) << ": FLoS should certify locally";
+  }
 }
+
+// Default options (best-first expansion) certify the exact top-k for every
+// measure against whole-graph ground truth.
+TEST(FlosTest, DefaultOptionsCertifyTheExactTopK) {
+  const Graph graph = RandomConnectedGraph(350, 1400, 31);
+  const int k = 8;
+  MeasureParams params;
+  for (const Measure measure : {Measure::kPhp, Measure::kEi, Measure::kDht,
+                                Measure::kTht, Measure::kRwr}) {
+    FlosOptions options;
+    options.measure = measure;
+    for (const NodeId query : {NodeId{2}, NodeId{77}, NodeId{300}}) {
+      const FlosResult result = ValueOrDie(FlosTopK(graph, query, k, options));
+      ASSERT_TRUE(result.stats.exact)
+          << MeasureName(measure) << " failed to certify";
+      const std::vector<double> exact =
+          ValueOrDie(ExactMeasure(graph, query, measure, params));
+      ExpectTopKMatchesScores(NodesOf(result), exact, query, k,
+                              MeasureDirection(measure));
+    }
+  }
+}
+
+// Each sweep backend, forced, certifies the exact top-k for every measure
+// (THT runs its horizon DP whichever backend is forced), and every returned
+// interval is well formed. One test per (measure, backend) pair names the
+// failing configuration directly.
+class FlosBackendExactnessTest
+    : public ::testing::TestWithParam<std::tuple<Measure, SweepBackendKind>> {
+};
+
+TEST_P(FlosBackendExactnessTest, CertifiesTheExactTopK) {
+  const auto [measure, backend] = GetParam();
+  if (backend == SweepBackendKind::kAvx2 && !Avx2SweepAvailable()) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  const Graph g = RandomConnectedGraph(600, 2400, 17);
+  const MeasureParams params;
+  FlosOptions options;
+  options.measure = measure;
+  options.sweep_backend = backend;
+  for (const NodeId query : {NodeId{5}, NodeId{321}}) {
+    const FlosResult result = ValueOrDie(FlosTopK(g, query, 10, options));
+    ASSERT_TRUE(result.stats.exact) << "query " << query;
+    for (const ScoredNode& s : result.topk) {
+      EXPECT_LE(s.lower, s.upper + 1e-12)
+          << "certified interval inverted for node " << s.node;
+    }
+    const std::vector<double> exact =
+        ValueOrDie(ExactMeasure(g, query, measure, params));
+    ExpectTopKMatchesScores(NodesOf(result), exact, query, 10,
+                            MeasureDirection(measure), 1e-6);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MeasuresByBackend, FlosBackendExactnessTest,
+    ::testing::Combine(::testing::Values(Measure::kPhp, Measure::kEi,
+                                         Measure::kDht, Measure::kTht,
+                                         Measure::kRwr),
+                       ::testing::Values(SweepBackendKind::kScalar,
+                                         SweepBackendKind::kAvx2)),
+    [](const ::testing::TestParamInfo<std::tuple<Measure, SweepBackendKind>>&
+           param_info) {
+      return MeasureName(std::get<0>(param_info.param)) + "_" +
+             SweepBackendKindName(std::get<1>(param_info.param));
+    });
 
 }  // namespace
 }  // namespace flos

@@ -15,6 +15,7 @@
 #include "core/sweep_kernel.h"
 #include "core/unified_bound_engine.h"
 #include "measures/exact.h"
+#include "measures/measure.h"
 #include "tests/test_util.h"
 
 namespace flos {
@@ -104,10 +105,12 @@ TEST(SweepBackendTest, ScalarAndAvx2KeepTheSameBoundSandwich) {
 
 // End-to-end: forcing either backend yields the same certified answer for
 // every fixed-point measure (THT runs the DP and ignores the seam, but is
-// included to pin that forcing a backend never breaks it).
+// included to pin that forcing a backend never breaks it), and each
+// backend's answer is the exact top-k of the whole-graph solver.
 TEST(SweepBackendTest, ForcedBackendsCertifyTheSameTopK) {
   if (!Avx2SweepAvailable()) GTEST_SKIP() << "no AVX2 on this machine";
   const Graph graph = RandomConnectedGraph(500, 2000, 29);
+  const MeasureParams params;
   for (const Measure measure : {Measure::kPhp, Measure::kEi, Measure::kDht,
                                 Measure::kTht, Measure::kRwr}) {
     FlosOptions options;
@@ -118,6 +121,14 @@ TEST(SweepBackendTest, ForcedBackendsCertifyTheSameTopK) {
     const FlosResult avx2 = ValueOrDie(FlosTopK(graph, 21, 10, options));
     ASSERT_TRUE(scalar.stats.exact) << MeasureName(measure);
     ASSERT_TRUE(avx2.stats.exact) << MeasureName(measure);
+    const std::vector<double> exact =
+        ValueOrDie(ExactMeasure(graph, 21, measure, params));
+    for (const FlosResult* result : {&scalar, &avx2}) {
+      std::vector<NodeId> nodes;
+      for (const ScoredNode& s : result->topk) nodes.push_back(s.node);
+      testing::ExpectTopKMatchesScores(nodes, exact, 21, 10,
+                                       MeasureDirection(measure));
+    }
     ASSERT_EQ(scalar.topk.size(), avx2.topk.size()) << MeasureName(measure);
     for (size_t i = 0; i < scalar.topk.size(); ++i) {
       EXPECT_EQ(scalar.topk[i].node, avx2.topk[i].node)
