@@ -83,7 +83,10 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
                  options.tht_length,  accessor_->Epoch(),
                  options.predicate.Fingerprint()};
     FlosResult cached;
-    if (query_cache_->Lookup(cache_key, &cached)) return cached;
+    if (query_cache_->Lookup(cache_key, &cached)) {
+      cached.stats.cache_hit = true;
+      return cached;
+    }
   }
 
   // Filtered early exit: the per-label counts bound how many nodes can
@@ -544,7 +547,12 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     result.topk.push_back(out);
   }
   phase_lap(&stats.select_ns);
-  if (cacheable && stats.exact) query_cache_->Insert(cache_key, result);
+  // Only certified answers are facts independent of how the query ran.
+  if (cacheable && stats.exact) {
+    FLOS_DCHECK(!stats.deadline_expired,
+                "certified result flagged deadline_expired");
+    query_cache_->Insert(cache_key, result);
+  }
   // Deposit the expanded state for future warm starts. Only certified
   // completions (their bounds are reusable facts, like QueryCache's rule),
   // and only when this run actually advanced past the snapshot it resumed
@@ -556,6 +564,9 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     bounds_.SaveBounds(&snap->bounds);
     snap->dummy_mesh = bounds_.dummy_value();
     snap->dummy_tight = bounds_.tight_dummy_value();
+    FLOS_DCHECK(snap->bounds.size() ==
+                    2 * static_cast<size_t>(snap->local.Size()),
+                "snapshot bound vector does not match its visited set");
     subgraph_cache_->Insert(subgraph_key, std::move(snap));
   }
   return result;

@@ -14,8 +14,8 @@
 // (with its own accessor) per thread over one shared immutable graph — see
 // the GraphAccessor thread-safety contract (graph/accessor.h) and
 // `BatchTopK` (core/batch_topk.h), which implements exactly that pattern.
-// The optional QueryCache is the one shared piece and is itself
-// thread-safe.
+// The optional query and subgraph caches are the shared pieces and are
+// themselves thread-safe.
 //
 // Determinism: for a given accessor and options, a reused engine returns
 // bit-identical results and statistics to a freshly constructed one
@@ -61,8 +61,8 @@ class FlosEngine {
   /// Attaches a shared certified-result cache (core/query_cache.h), or
   /// detaches with nullptr. Not owned; must outlive the engine while
   /// attached. Single-source queries consult it before searching (keyed on
-  /// the accessor's current graph epoch) and deposit certified answers
-  /// after; multi-source queries bypass it.
+  /// the accessor's current graph epoch), mark a hit stats.cache_hit, and
+  /// deposit certified answers after; multi-source queries bypass it.
   void set_query_cache(QueryCache* cache) { query_cache_ = cache; }
   QueryCache* query_cache() const { return query_cache_; }
 

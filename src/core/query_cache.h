@@ -27,101 +27,58 @@
 // tightenings, expansion batch) — the serving layer's situation, where
 // ServerOptions fixes them; the per-request knobs are all in the key.
 //
-// Thread-safe: one mutex guards the map + LRU list (a leaf lock in the
-// concurrency contract — see DESIGN.md; the FLOS_GUARDED_BY annotations
-// make the compiler enforce it). The critical section is a hash probe plus
-// a list splice and a FlosResult copy (k entries), so contention is
-// negligible next to even a warm-path network round trip.
+// Thread-safe: QueryCache is an EpochLruCache (util/lru_cache.h), the
+// template it shares with the warm-subgraph tier — one leaf mutex around
+// the LRU (see DESIGN.md), hit/miss counters and the stale-epoch audit.
+// The critical section is a hash probe plus a list splice and a FlosResult
+// copy (k entries), so contention is negligible next to even a warm-path
+// network round trip. The per-cache rules sit in FlosEngine: only
+// certified results are inserted, and a hit is marked stats.cache_hit.
 
 #ifndef FLOS_CORE_QUERY_CACHE_H_
 #define FLOS_CORE_QUERY_CACHE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "core/flos.h"
 #include "graph/graph.h"
 #include "measures/measure.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/lru_cache.h"
 
 namespace flos {
 
-/// LRU cache of certified FlosResults, shared by all engine sessions of a
-/// server (thread-safe).
-class QueryCache {
- public:
-  /// Everything that determines a certified answer.
-  struct Key {
-    NodeId query = 0;
-    Measure measure = Measure::kPhp;
-    int k = 0;
-    double c = 0;
-    int tht_length = 0;
-    uint64_t epoch = 0;
-    /// LabelPredicate::Fingerprint() of the request's predicate (0 for
-    /// unfiltered queries). A filtered answer is exact only relative to
-    /// its predicate, so two requests with different predicates must
-    /// never share an entry; the subgraph cache, by contrast, stays
-    /// predicate-independent by design (see DESIGN.md "Filtered top-k").
-    uint64_t predicate_fp = 0;
+/// Everything that determines a certified answer.
+struct QueryCacheKey {
+  NodeId query = 0;
+  Measure measure = Measure::kPhp;
+  int k = 0;
+  double c = 0;
+  int tht_length = 0;
+  uint64_t epoch = 0;
+  /// LabelPredicate::Fingerprint() of the request's predicate (0 for
+  /// unfiltered queries). A filtered answer is exact only relative to its
+  /// predicate, so two requests with different predicates must never
+  /// share an entry; the subgraph cache, by contrast, stays
+  /// predicate-independent by design (see DESIGN.md "Filtered top-k").
+  uint64_t predicate_fp = 0;
 
-    friend bool operator==(const Key&, const Key&) = default;
+  static constexpr const char* kStaleEpochMessage =
+      "query cache serving a stale graph epoch";
+
+  struct Hash {
+    size_t operator()(const QueryCacheKey& key) const {
+      return HashFields(key.query, key.measure, key.k, key.c, key.tht_length,
+                        key.epoch, key.predicate_fp);
+    }
   };
 
-  /// Keeps at most `capacity` entries (0 disables the cache: every lookup
-  /// misses, every insert is dropped).
-  explicit QueryCache(size_t capacity) : capacity_(capacity) {}
-
-  QueryCache(const QueryCache&) = delete;
-  QueryCache& operator=(const QueryCache&) = delete;
-
-  /// On a hit copies the cached result into `*out`, marks it as a cache
-  /// hit, and freshens the entry's LRU position. Counts hits/misses.
-  bool Lookup(const Key& key, FlosResult* out) FLOS_EXCLUDES(mu_);
-
-  /// Admits a certified result. Rejects (and counts) non-certified
-  /// results; replaces an existing entry for the same key.
-  void Insert(const Key& key, const FlosResult& result) FLOS_EXCLUDES(mu_);
-
-  /// Drops every entry (counters are kept).
-  void Clear() FLOS_EXCLUDES(mu_);
-
-  size_t size() const FLOS_EXCLUDES(mu_);
-  size_t capacity() const { return capacity_; }
-  uint64_t hits() const FLOS_EXCLUDES(mu_);
-  uint64_t misses() const FLOS_EXCLUDES(mu_);
-
-  /// Test-only: overwrites the stored redundant epoch of the entry for
-  /// `key`, desynchronizing it from the key it is filed under, so
-  /// tests/query_cache_test.cc can prove the FLOS_AUDIT stale-epoch check
-  /// fires. Returns false when the entry does not exist. Never call it
-  /// from library or application code.
-  bool CorruptEpochForTest(const Key& key, uint64_t stored_epoch)
-      FLOS_EXCLUDES(mu_);
-
- private:
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
-  struct Entry {
-    Key key;
-    /// Redundant copy of key.epoch, audited on every hit.
-    uint64_t stored_epoch = 0;
-    FlosResult result;
-  };
-
-  size_t capacity_;
-  mutable Mutex mu_;
-  /// front = most recent
-  std::list<Entry> entries_ FLOS_GUARDED_BY(mu_);
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
-      FLOS_GUARDED_BY(mu_);
-  uint64_t hits_ FLOS_GUARDED_BY(mu_) = 0;
-  uint64_t misses_ FLOS_GUARDED_BY(mu_) = 0;
+  friend bool operator==(const QueryCacheKey&, const QueryCacheKey&) = default;
 };
+
+/// LRU cache of certified FlosResults, shared by all worker engines of a
+/// server (thread-safe).
+using QueryCache = EpochLruCache<QueryCacheKey, FlosResult>;
 
 }  // namespace flos
 

@@ -41,26 +41,24 @@
 //
 // Snapshots are immutable once inserted and handed out as
 // shared_ptr<const>, so a reader never blocks an evictor: the LRU can drop
-// an entry while an engine is still restoring from it. Thread-safe: one
-// mutex guards the map + LRU list (a leaf lock in the concurrency
-// contract — see DESIGN.md; FLOS_GUARDED_BY makes the compiler enforce
-// it); the critical section is a hash probe plus a shared_ptr copy.
+// an entry while an engine is still restoring from it. Thread-safe:
+// SubgraphCache is an EpochLruCache (util/lru_cache.h), the template it
+// shares with QueryCache — one leaf mutex around the LRU (see DESIGN.md),
+// hit/miss counters and the stale-epoch audit; the critical section is a
+// hash probe plus a shared_ptr copy.
 
 #ifndef FLOS_CORE_SUBGRAPH_CACHE_H_
 #define FLOS_CORE_SUBGRAPH_CACHE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/local_graph.h"
 #include "core/measure_traits.h"
 #include "graph/graph.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/lru_cache.h"
 
 namespace flos {
 
@@ -75,23 +73,38 @@ struct SubgraphSnapshot {
   double dummy_tight = 1.0;
 };
 
-/// LRU cache of warm subgraphs, shared by all engine sessions of a server
-/// (thread-safe).
-class SubgraphCache {
- public:
-  /// Everything that determines a snapshot's validity (see file comment:
-  /// deliberately independent of k and rank mode).
-  struct Key {
-    NodeId seed = 0;
-    BoundFamily family = BoundFamily::kFixedPoint;
-    /// Fixed-point alpha; 0.0 for the horizon-DP family.
-    double alpha = 0;
-    /// DP horizon L; 0 for the fixed-point family.
-    int horizon = 0;
-    uint64_t epoch = 0;
+/// Everything that determines a snapshot's validity (see file comment:
+/// deliberately independent of k and rank mode).
+struct SubgraphCacheKey {
+  NodeId seed = 0;
+  BoundFamily family = BoundFamily::kFixedPoint;
+  /// Fixed-point alpha; 0.0 for the horizon-DP family.
+  double alpha = 0;
+  /// DP horizon L; 0 for the fixed-point family.
+  int horizon = 0;
+  uint64_t epoch = 0;
 
-    friend bool operator==(const Key&, const Key&) = default;
+  static constexpr const char* kStaleEpochMessage =
+      "subgraph cache serving a stale graph epoch";
+
+  struct Hash {
+    size_t operator()(const SubgraphCacheKey& key) const {
+      return HashFields(key.seed, key.family, key.alpha, key.horizon,
+                        key.epoch);
+    }
   };
+
+  friend bool operator==(const SubgraphCacheKey&,
+                         const SubgraphCacheKey&) = default;
+};
+
+/// LRU cache of warm subgraphs, shared by all worker engines of a server
+/// (thread-safe). Lookup(key) returns nullptr on a miss.
+class SubgraphCache final
+    : public EpochLruCache<SubgraphCacheKey,
+                           std::shared_ptr<const SubgraphSnapshot>> {
+ public:
+  using EpochLruCache::EpochLruCache;
 
   /// Builds the key for a seed under measure traits at the current epoch.
   static Key MakeKey(NodeId seed, const BoundTraits& traits, uint64_t epoch) {
@@ -103,58 +116,6 @@ class SubgraphCache {
     key.epoch = epoch;
     return key;
   }
-
-  /// Keeps at most `capacity` entries (0 disables the cache: every lookup
-  /// misses, every insert is dropped).
-  explicit SubgraphCache(size_t capacity) : capacity_(capacity) {}
-
-  SubgraphCache(const SubgraphCache&) = delete;
-  SubgraphCache& operator=(const SubgraphCache&) = delete;
-
-  /// On a hit returns the immutable snapshot and freshens the entry's LRU
-  /// position; nullptr on a miss. Counts hits/misses.
-  std::shared_ptr<const SubgraphSnapshot> Lookup(const Key& key)
-      FLOS_EXCLUDES(mu_);
-
-  /// Admits a snapshot (replaces an existing entry for the same key).
-  void Insert(const Key& key, std::shared_ptr<const SubgraphSnapshot> snap)
-      FLOS_EXCLUDES(mu_);
-
-  /// Drops every entry (counters are kept).
-  void Clear() FLOS_EXCLUDES(mu_);
-
-  size_t size() const FLOS_EXCLUDES(mu_);
-  size_t capacity() const { return capacity_; }
-  uint64_t hits() const FLOS_EXCLUDES(mu_);
-  uint64_t misses() const FLOS_EXCLUDES(mu_);
-
-  /// Test-only: overwrites the stored redundant epoch of the entry for
-  /// `key`, desynchronizing it from the key it is filed under, so
-  /// tests/subgraph_cache_test.cc can prove the FLOS_AUDIT stale-epoch
-  /// check fires. Returns false when the entry does not exist. Never call
-  /// it from library or application code.
-  bool CorruptEpochForTest(const Key& key, uint64_t stored_epoch)
-      FLOS_EXCLUDES(mu_);
-
- private:
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
-  struct Entry {
-    Key key;
-    /// Redundant copy of key.epoch, audited on every hit.
-    uint64_t stored_epoch = 0;
-    std::shared_ptr<const SubgraphSnapshot> snap;
-  };
-
-  size_t capacity_;
-  mutable Mutex mu_;
-  /// front = most recent
-  std::list<Entry> entries_ FLOS_GUARDED_BY(mu_);
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
-      FLOS_GUARDED_BY(mu_);
-  uint64_t hits_ FLOS_GUARDED_BY(mu_) = 0;
-  uint64_t misses_ FLOS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace flos

@@ -277,7 +277,6 @@ void FrameService::AdmitFrame(const std::shared_ptr<Connection>& conn,
 void FrameService::WorkerLoop() {
   const std::unique_ptr<FrameHandler::WorkerState> state =
       handler_->CreateWorkerState();
-  if (state == nullptr) return;  // backing resources gone before we started
   while (true) {
     PendingFrame work;
     {

@@ -9,7 +9,7 @@
 // with it tail latency) stays capped no matter the offered load.
 //
 // What a frame MEANS is delegated to a FrameHandler: ServiceServer runs
-// QUERY frames on leased FLoS engines; ShardRouter forwards them to the
+// QUERY frames on per-worker FLoS engines; ShardRouter forwards them to the
 // owning shard process. QUERY and STATS frames ride the worker queue
 // (STATS may gather remote state — the router fans out to its backends);
 // SHUTDOWN and malformed frames are answered on the IO thread.
@@ -57,7 +57,7 @@ struct FrameServiceOptions {
 /// the FrameService's lifetime and be callable from its worker threads.
 class FrameHandler {
  public:
-  /// Per-worker-thread state (an engine lease; the router's backend
+  /// Per-worker-thread state (an accessor + engine; the router's backend
   /// connections). Created on the worker thread itself, destroyed there.
   struct WorkerState {
     virtual ~WorkerState() = default;
@@ -65,8 +65,7 @@ class FrameHandler {
 
   virtual ~FrameHandler() = default;
 
-  /// Called once per worker thread before it serves. Returning nullptr
-  /// aborts that worker (e.g. the session pool was already shut down).
+  /// Called once per worker thread, on that thread, before it serves.
   virtual std::unique_ptr<WorkerState> CreateWorkerState() = 0;
 
   /// Serves one admitted QUERY payload. `dequeue_time` is the instant the
@@ -103,9 +102,7 @@ class FrameService {
   void WaitForShutdown() FLOS_EXCLUDES(shutdown_mu_);
 
   /// Stops accepting, drains threads, closes every connection. Idempotent;
-  /// safe to call whether or not Start succeeded. Callers whose worker
-  /// state blocks on an external resource (the engine session pool) must
-  /// release that resource first so the worker join can finish.
+  /// safe to call whether or not Start succeeded.
   void Shutdown() FLOS_EXCLUDES(shutdown_mu_, queue_mu_);
 
  private:

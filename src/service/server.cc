@@ -5,6 +5,7 @@
 
 #include "core/flos.h"
 #include "core/flos_engine.h"
+#include "graph/accessor.h"
 
 namespace flos {
 
@@ -18,11 +19,14 @@ uint64_t MicrosBetween(std::chrono::steady_clock::time_point from,
   return us > 0 ? static_cast<uint64_t>(us) : 0;
 }
 
-/// A worker's leased engine session, held for the worker's lifetime.
+/// A worker's own accessor and engine (the pairing the GraphAccessor
+/// thread-safety contract requires), built on the worker thread and held
+/// for its lifetime so the engine workspace stays warm across queries.
 struct EngineWorkerState final : FrameHandler::WorkerState {
-  explicit EngineWorkerState(EngineSessionPool::Lease l)
-      : lease(std::move(l)) {}
-  EngineSessionPool::Lease lease;
+  explicit EngineWorkerState(std::unique_ptr<GraphAccessor> a)
+      : accessor(std::move(a)), engine(accessor.get()) {}
+  std::unique_ptr<GraphAccessor> accessor;
+  FlosEngine engine;
 };
 
 }  // namespace
@@ -74,20 +78,6 @@ Status ServiceServer::Start() {
       serving_labels_ = options_.labels;
     }
   }
-  if (options_.shard_meta != nullptr) {
-    const Graph* const graph = graph_;
-    const ShardMeta* const meta = options_.shard_meta;
-    sessions_ = std::make_unique<EngineSessionPool>(
-        [graph, meta]() -> std::unique_ptr<GraphAccessor> {
-          return std::make_unique<ShardAccessor>(graph, meta);
-        },
-        static_cast<size_t>(options_.num_workers), query_cache_.get(),
-        subgraph_cache_.get());
-  } else {
-    sessions_ = std::make_unique<EngineSessionPool>(
-        graph_, static_cast<size_t>(options_.num_workers),
-        query_cache_.get(), subgraph_cache_.get());
-  }
 
   FrameServiceOptions fopts;
   fopts.host = options_.host;
@@ -103,7 +93,6 @@ Status ServiceServer::Start() {
     // No threads were spawned on the failure path; unwind so a caller can
     // retry Start (e.g. with another port).
     frames_.reset();
-    sessions_.reset();
     subgraph_cache_.reset();
     query_cache_.reset();
     return started;
@@ -120,23 +109,30 @@ void ServiceServer::WaitForShutdown() {
 }
 
 void ServiceServer::Shutdown() {
-  // Session pool first: a worker still blocked in Acquire (CreateWorkerState)
-  // gets its empty lease and exits, letting the FrameService join finish.
-  if (sessions_ != nullptr) sessions_->Shutdown();
   if (frames_ != nullptr) frames_->Shutdown();
 }
 
 std::unique_ptr<FrameHandler::WorkerState> ServiceServer::CreateWorkerState() {
-  EngineSessionPool::Lease lease = sessions_->Acquire();
-  if (lease.engine() == nullptr) return nullptr;  // pool already shut down
-  return std::make_unique<EngineWorkerState>(std::move(lease));
+  // Shard mode: global degrees + the external-degree bound keep every
+  // bound exact over the shard-local graph.
+  std::unique_ptr<GraphAccessor> accessor;
+  if (options_.shard_meta != nullptr) {
+    accessor = std::make_unique<ShardAccessor>(graph_, options_.shard_meta);
+  } else {
+    accessor = std::make_unique<InMemoryAccessor>(graph_);
+  }
+  auto state = std::make_unique<EngineWorkerState>(std::move(accessor));
+  // Both caches are thread-safe and shared by every worker, so a result
+  // certified on one worker is a warm hit on all of them.
+  state->engine.set_query_cache(query_cache_.get());
+  state->engine.set_subgraph_cache(subgraph_cache_.get());
+  return state;
 }
 
 QueryResponse ServiceServer::HandleQuery(
     WorkerState* state, const std::string& payload,
     std::chrono::steady_clock::time_point dequeue_time) {
-  FlosEngine* const engine =
-      static_cast<EngineWorkerState*>(state)->lease.engine();
+  FlosEngine* const engine = &static_cast<EngineWorkerState*>(state)->engine;
 
   QueryResponse resp;
   resp.type = MessageType::kQuery;

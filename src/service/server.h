@@ -2,8 +2,8 @@
 //
 // The transport (epoll IO thread, bounded admission queue, worker threads)
 // lives in FrameService; ServiceServer is the FrameHandler that gives the
-// frames meaning: QUERY frames run on leased engine sessions
-// (session_pool.h), STATS renders the metrics registry.
+// frames meaning: each worker thread builds its own accessor + FlosEngine
+// once and runs QUERY frames on it; STATS renders the metrics registry.
 //
 // Deadlines: a QUERY's `deadline_us` (relative, 0 = none) is anchored at
 // DEQUEUE time and handed to the engine as an absolute steady_clock
@@ -12,7 +12,7 @@
 // (FLoS's anytime guarantee — see FlosOptions::deadline).
 //
 // Shard mode: when `shard_meta` is set the served graph is one shard of a
-// partition (graph/partition.h). Sessions then run over ShardAccessors
+// partition (graph/partition.h). Worker engines then run over ShardAccessors
 // (global degrees + external-degree bound keep every bound exact), the
 // engine's expandable frontier is limited to the interior halo, and a
 // search that stops at the halo boundary answers uncertified with the
@@ -35,7 +35,6 @@
 #include "service/frame_service.h"
 #include "service/metrics.h"
 #include "service/protocol.h"
-#include "service/session_pool.h"
 #include "util/status.h"
 
 namespace flos {
@@ -45,7 +44,7 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with ServiceServer::port().
   uint16_t port = 0;
-  /// Query worker threads; also the engine-session pool size.
+  /// Query worker threads, each with its own engine.
   int num_workers = 4;
   /// Admission-control cap: QUERY frames waiting for a worker. Beyond this
   /// the server answers `overloaded` without queuing.
@@ -56,13 +55,13 @@ struct ServerOptions {
   bool allow_remote_shutdown = true;
   /// Serving cap on k (bounds the response frame size).
   uint32_t max_k = 10000;
-  /// Certified-result cache entries shared by every worker session
+  /// Certified-result cache entries shared by every worker engine
   /// (core/query_cache.h); 0 disables caching. Safe because the served
   /// graph is immutable (epoch 0 forever), so entries never go stale;
   /// repeat queries — the head of any Zipf-skewed workload — answer in
   /// microseconds with the same certified bounds the search produced.
   size_t query_cache_capacity = 4096;
-  /// Warm-subgraph cache entries shared by every worker session
+  /// Warm-subgraph cache entries shared by every worker engine
   /// (core/subgraph_cache.h); 0 disables the tier. The second cache tier
   /// under the result cache: a repeat seed whose exact (k, measure, c)
   /// combination misses the result cache still skips the expansion phase
@@ -113,7 +112,7 @@ class ServiceServer final : private FrameHandler {
   const ServiceMetrics& metrics() const { return metrics_; }
 
  private:
-  // FrameHandler: each worker leases one engine session for its lifetime.
+  // FrameHandler: each worker builds one accessor + engine for its lifetime.
   std::unique_ptr<WorkerState> CreateWorkerState() override;
   QueryResponse HandleQuery(
       WorkerState* state, const std::string& payload,
@@ -131,10 +130,10 @@ class ServiceServer final : private FrameHandler {
   /// options_.labels otherwise, nullptr when filtering is disabled.
   const LabelStore* serving_labels_ = nullptr;
 
-  std::unique_ptr<QueryCache> query_cache_;  // must outlive sessions_
-  std::unique_ptr<SubgraphCache> subgraph_cache_;  // must outlive sessions_
-  std::unique_ptr<EngineSessionPool> sessions_;
-  // Declared after the pool: destroyed (joining worker threads) first.
+  std::unique_ptr<QueryCache> query_cache_;
+  std::unique_ptr<SubgraphCache> subgraph_cache_;
+  // Declared after the caches: destroyed (joining the worker threads and
+  // their engines) first.
   std::unique_ptr<FrameService> frames_;
 };
 

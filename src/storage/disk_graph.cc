@@ -101,7 +101,7 @@ Status DiskGraph::ReadRange(uint64_t offset, uint64_t bytes,
       const size_t got = std::fread(loaded.data(), 1, block, file_);
       loaded.resize(got);
       stats_.bytes_read += got;
-      cache_.Put(block_id, loaded);
+      cache_.Put(block_id, loaded, loaded.size());
       cached = &loaded;
       if (block_start + got < end && got < block) {
         return Status::Corruption("adjacency region truncated");
@@ -110,12 +110,16 @@ Status DiskGraph::ReadRange(uint64_t offset, uint64_t bytes,
       ++stats_.cache_hits;
     }
     const uint64_t begin_in_block = cursor - block_start;
+    // A short final block (cached by an earlier read of a truncated file)
+    // may end before this range starts.
+    if (begin_in_block >= cached->size()) {
+      return Status::Corruption("adjacency region truncated");
+    }
     const uint64_t take =
         std::min<uint64_t>(end - cursor, cached->size() - begin_in_block);
     out->insert(out->end(), cached->begin() + begin_in_block,
                 cached->begin() + begin_in_block + take);
     cursor += take;
-    if (take == 0) return Status::Corruption("adjacency read stalled");
   }
   return Status::OK();
 }

@@ -3,7 +3,8 @@
 // This is the Neo4j stand-in for the paper's Section 6.4 experiment: FLoS
 // runs unmodified over it because it only ever asks for a node's neighbors
 // and degree. Adjacency lists are read from disk through a bounded LRU
-// block cache; the per-node index arrays (offsets, degrees, degree order)
+// block cache (an LruMap, util/lru_cache.h, costed in bytes); the per-node
+// index arrays (offsets, degrees, degree order)
 // are held in memory, as any disk graph store would.
 
 #ifndef FLOS_STORAGE_DISK_GRAPH_H_
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "graph/accessor.h"
-#include "storage/lru_cache.h"
+#include "util/lru_cache.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -84,7 +85,8 @@ class DiskGraph final : public GraphAccessor {
   /// decode scratch. Open/~DiskGraph touch file_ pre/post concurrency.
   Mutex io_mu_;
   std::FILE* file_ FLOS_GUARDED_BY(io_mu_) = nullptr;
-  LruBlockCache cache_ FLOS_GUARDED_BY(io_mu_);
+  /// Adjacency blocks by block id; each costs its byte size.
+  LruMap<uint64_t, std::vector<char>> cache_ FLOS_GUARDED_BY(io_mu_);
   std::vector<char> range_scratch_ FLOS_GUARDED_BY(io_mu_);
 };
 

@@ -1,12 +1,14 @@
 // Tests for the certified-result query cache: hit/miss semantics, the
-// certified-only admission rule, LRU eviction, exact epoch-based
-// invalidation against a mutating DynamicGraph, and the FLOS_AUDIT
-// backstop that a cache can never serve a stale graph epoch.
+// engine's certified-only admission rule, LRU eviction, exact epoch-based
+// invalidation against a mutating DynamicGraph, concurrent use by several
+// threads, and the FLOS_AUDIT backstop that a cache can never serve a
+// stale graph epoch.
 
 #include "core/query_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "core/flos.h"
@@ -58,7 +60,7 @@ TEST(QueryCacheTest, MissThenHitReturnsStoredResult) {
   ASSERT_EQ(out.topk.size(), 1u);
   EXPECT_EQ(out.topk[0].node, 3u);
   EXPECT_TRUE(out.stats.exact) << "hits must stay certified";
-  EXPECT_TRUE(out.stats.cache_hit) << "hits must be marked as such";
+  // The engine marks a hit stats.cache_hit (EngineHitsThenEpochBumpInvalidates).
 }
 
 TEST(QueryCacheTest, KeyFieldsAllDiscriminate) {
@@ -82,14 +84,20 @@ TEST(QueryCacheTest, KeyFieldsAllDiscriminate) {
       << "a bumped epoch must never match an older entry";
 }
 
+// Only certified answers are admitted: a max_visited-clipped search is a
+// best-effort answer, so the engine must not deposit it.
 TEST(QueryCacheTest, RejectsUncertifiedResults) {
+  DynamicGraph dyn{RandomConnectedGraph(300, 900, 11)};
   QueryCache cache(4);
-  FlosResult anytime = CertifiedResult(3);
-  anytime.stats.exact = false;  // deadline cut the proof short
-  cache.Insert(TestKey(7), anytime);
+  FlosEngine engine(&dyn);
+  engine.set_query_cache(&cache);
+  FlosOptions clipped;
+  clipped.max_visited = 12;
+  const FlosResult first = ValueOrDie(engine.TopK(5, 8, clipped));
+  ASSERT_FALSE(first.stats.exact) << "the clip must cut the proof short";
   EXPECT_EQ(cache.size(), 0u) << "only certified results may be cached";
-  FlosResult out;
-  EXPECT_FALSE(cache.Lookup(TestKey(7), &out));
+  const FlosResult repeat = ValueOrDie(engine.TopK(5, 8, clipped));
+  EXPECT_FALSE(repeat.stats.cache_hit);
 }
 
 TEST(QueryCacheTest, EvictsLeastRecentlyUsed) {
@@ -182,6 +190,42 @@ TEST(QueryCacheTest, MultiSourceQueriesBypassTheCache) {
   EXPECT_EQ(cache.size(), 0u) << "set queries are not cacheable";
   const FlosResult b = ValueOrDie(engine.TopKSet(sources, 5, options));
   EXPECT_FALSE(b.stats.cache_hit);
+}
+
+// The cache is shared by every server worker: concurrent lookups, inserts
+// and clears over a small capacity must never hand out a result filed
+// under another key (run under ThreadSanitizer in CI).
+TEST(QueryCacheTest, ConcurrentAccessServesOnlyMatchingResults) {
+  QueryCache cache(8);
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 32;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &mismatches, t] {
+      FlosResult out;
+      for (int i = 0; i < 2000; ++i) {
+        // Four hot keys stay resident; every third access is a cold key
+        // that churns the LRU tail.
+        const int slot = i % 3 == 0 ? (i * 7 + t * 13) % kKeys : (i + t) % 4;
+        const NodeId query = static_cast<NodeId>(slot);
+        if (cache.Lookup(TestKey(query), &out)) {
+          if (out.topk.size() != 1 || out.topk[0].node != query + 100) {
+            ++mismatches[static_cast<size_t>(t)];
+          }
+        } else {
+          cache.Insert(TestKey(query), CertifiedResult(query + 100));
+        }
+        if (i % 500 == 499) cache.Clear();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
+  EXPECT_LE(cache.size(), 8u);
+  EXPECT_GT(cache.hits(), 0u);
 }
 
 #if FLOS_AUDIT_ENABLED

@@ -13,8 +13,8 @@
 #include "storage/disk_builder.h"
 #include "storage/disk_format.h"
 #include "storage/disk_graph.h"
-#include "storage/lru_cache.h"
 #include "tests/test_util.h"
+#include "util/lru_cache.h"
 
 namespace flos {
 namespace {
@@ -27,49 +27,56 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-TEST(LruBlockCacheTest, EvictsLeastRecentlyUsed) {
-  LruBlockCache cache(10);
-  cache.Put(1, std::vector<char>(4, 'a'));
-  cache.Put(2, std::vector<char>(4, 'b'));
+// DiskGraph's block cache: an LruMap of block bytes costed by size.
+using BlockCache = LruMap<uint64_t, std::vector<char>>;
+
+void PutBlock(BlockCache* cache, uint64_t id, size_t bytes, char fill) {
+  cache->Put(id, std::vector<char>(bytes, fill), bytes);
+}
+
+TEST(LruMapTest, EvictsLeastRecentlyUsed) {
+  BlockCache cache(10);
+  PutBlock(&cache, 1, 4, 'a');
+  PutBlock(&cache, 2, 4, 'b');
   ASSERT_NE(cache.Get(1), nullptr);  // touch 1 -> 2 becomes LRU
-  cache.Put(3, std::vector<char>(4, 'c'));
+  PutBlock(&cache, 3, 4, 'c');
   EXPECT_EQ(cache.Get(2), nullptr) << "block 2 should have been evicted";
   EXPECT_NE(cache.Get(1), nullptr);
   EXPECT_NE(cache.Get(3), nullptr);
-  EXPECT_LE(cache.used_bytes(), 10u);
+  EXPECT_LE(cache.used(), 10u);
 }
 
-TEST(LruBlockCacheTest, EvictionFollowsTheFullTouchOrder) {
+TEST(LruMapTest, EvictionFollowsTheFullTouchOrder) {
   // Four 4-byte blocks in a 16-byte budget; every Get reshuffles recency.
-  LruBlockCache cache(16);
+  BlockCache cache(16);
   for (uint64_t id = 1; id <= 4; ++id) {
-    cache.Put(id, std::vector<char>(4, static_cast<char>('a' + id)));
+    PutBlock(&cache, id, 4, static_cast<char>('a' + id));
   }
-  EXPECT_EQ(cache.num_blocks(), 4u);
+  EXPECT_EQ(cache.size(), 4u);
   // After touching 3, 1, 4, 2 the recency order is (oldest) 3 1 4 2.
   ASSERT_NE(cache.Get(3), nullptr);
   ASSERT_NE(cache.Get(1), nullptr);
   ASSERT_NE(cache.Get(4), nullptr);
   ASSERT_NE(cache.Get(2), nullptr);
-  cache.Put(5, std::vector<char>(4, 'e'));  // evicts 3
+  PutBlock(&cache, 5, 4, 'e');  // evicts 3
   EXPECT_EQ(cache.Get(3), nullptr);
   EXPECT_NE(cache.Get(1), nullptr);  // 1 freshened again
-  cache.Put(6, std::vector<char>(4, 'f'));  // evicts 4 (1 was re-touched)
+  PutBlock(&cache, 6, 4, 'f');  // evicts 4 (1 was re-touched)
   EXPECT_EQ(cache.Get(4), nullptr);
   EXPECT_NE(cache.Get(1), nullptr);
   EXPECT_NE(cache.Get(2), nullptr);
   EXPECT_NE(cache.Get(5), nullptr);
   EXPECT_NE(cache.Get(6), nullptr);
-  EXPECT_LE(cache.used_bytes(), 16u);
-  EXPECT_EQ(cache.num_blocks(), 4u);
+  EXPECT_LE(cache.used(), 16u);
+  EXPECT_EQ(cache.size(), 4u);
 }
 
-TEST(LruBlockCacheTest, ReinsertingAKeyReplacesItsBytes) {
-  LruBlockCache cache(64);
-  cache.Put(1, std::vector<char>(8, 'a'));
-  cache.Put(1, std::vector<char>(16, 'b'));
-  EXPECT_EQ(cache.num_blocks(), 1u);
-  EXPECT_EQ(cache.used_bytes(), 16u)
+TEST(LruMapTest, ReinsertingAKeyReplacesItsBytes) {
+  BlockCache cache(64);
+  PutBlock(&cache, 1, 8, 'a');
+  PutBlock(&cache, 1, 16, 'b');
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.used(), 16u)
       << "the old block's bytes must not leak into the budget";
   const std::vector<char>* block = cache.Get(1);
   ASSERT_NE(block, nullptr);
@@ -77,11 +84,11 @@ TEST(LruBlockCacheTest, ReinsertingAKeyReplacesItsBytes) {
   EXPECT_EQ((*block)[0], 'b');
 }
 
-TEST(LruBlockCacheTest, OversizedBlockIsNotCached) {
-  LruBlockCache cache(4);
-  cache.Put(1, std::vector<char>(16, 'x'));
+TEST(LruMapTest, OversizedBlockIsNotCached) {
+  BlockCache cache(4);
+  PutBlock(&cache, 1, 16, 'x');
   EXPECT_EQ(cache.Get(1), nullptr);
-  EXPECT_EQ(cache.used_bytes(), 0u);
+  EXPECT_EQ(cache.used(), 0u);
 }
 
 TEST(DiskGraphTest, RoundTripsExactly) {
@@ -230,6 +237,32 @@ TEST(DiskGraphTest, DetectsCorruption) {
   }
   EXPECT_FALSE(last.ok()) << "reading past the truncation must fail";
   std::remove(truncated.c_str());
+
+  // Small blocks over a truncated file: the short final block gets cached,
+  // and a later node whose range starts past its end must read as
+  // corruption, not past the cached bytes. Every node is read, failures
+  // included, so later reads hit that cached short block.
+  const Graph er = RandomConnectedGraph(200, 800, 5);
+  const std::string short_block = TempPath("short_block.flos");
+  FLOS_ASSERT_OK(WriteDiskGraph(er, short_block));
+  f = std::fopen(short_block.c_str(), "rb");
+  std::fseek(f, 0, SEEK_END);
+  const long er_size = std::ftell(f);
+  std::fclose(f);
+  ASSERT_EQ(truncate(short_block.c_str(), er_size - 200), 0);
+  DiskGraphOptions small_blocks;
+  small_blocks.block_bytes = 1024;
+  auto short_disk = ValueOrDie(DiskGraph::Open(short_block, small_blocks));
+  int failures = 0;
+  for (NodeId u = 0; u < er.NumNodes(); ++u) {
+    const Status s = short_disk->CopyNeighbors(u, &nbs);
+    if (!s.ok()) {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << "node " << u;
+      ++failures;
+    }
+  }
+  EXPECT_GT(failures, 0) << "the chopped nodes must fail to read";
+  std::remove(short_block.c_str());
 }
 
 }  // namespace
