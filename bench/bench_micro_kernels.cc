@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the kernels the figure-level
 // results are built from: CSR neighbor scans, one global-iteration sweep,
 // the fused Gauss–Seidel bound-sweep kernel over the flat SoA local CSR
-// (plain, audited, and through each SweepBackend), a FLoS expansion +
-// bound update step, full queries, and disk reads.
+// (plain and audited), a FLoS expansion + bound update step, full
+// queries, and disk reads.
 //
 // After the google-benchmark run, the binary self-times the bound-sweep
 // kernels and full-query throughput at k=20 on the RAND and R-MAT
@@ -98,7 +98,6 @@ struct SweepFixture {
     self_coeff.assign(n, 0.0);
     mesh_dummy_coeff.assign(n, 0.0);
     plain_dummy_coeff.assign(n, 0.0);
-    hidden_coeff.assign(n, 0.0);
     row_entries = 0;
     for (LocalId i = 0; i < n; ++i) {
       row_entries += local->Row(i).len;
@@ -150,7 +149,8 @@ struct SweepFixture {
   // FLOS_CHECK where the production code has compiled-out FLOS_AUDIT):
   // the entry/exit sandwich scans, cross-sweep monotonicity against a
   // snapshot, and the per-entry CSR validity checks, mirroring what
-  // bound_engine.cc + sweep_kernel.h run under -DFLOS_ENABLE_AUDIT=ON.
+  // unified_bound_engine.cc + sweep_kernel.h run under
+  // -DFLOS_ENABLE_AUDIT=ON.
   // Prices the audit tier on this kernel; the plain Release kernel above
   // must not regress, since there the same sites compile to nothing.
   double AuditedFusedGsSweep() {
@@ -194,35 +194,8 @@ struct SweepFixture {
     return delta;
   }
 
-  // One sweep through a SweepBackend (core/sweep_kernel.h) over the
-  // pair-interleaved bound layout the unified engine uses —
-  // bounds[2i] = lower_i, bounds[2i+1] = upper_i. Same system, same
-  // coefficients; this is what prices the scalar backend vs the blocked-ELL
-  // AVX2 backend on production data.
-  double BackendSweep(SweepBackend* backend) {
-    FixedPointSweepArgs args;
-    args.local = local.get();
-    args.bounds = pair_bounds.data();
-    args.self_coeff = self_coeff.data();
-    args.mesh_dummy_coeff = mesh_dummy_coeff.data();
-    args.plain_dummy_coeff = plain_dummy_coeff.data();
-    args.hidden_coeff = hidden_coeff.data();
-    args.alpha = kAlpha;
-    args.dummy_tight = 1.0;
-    args.dummy_mesh = 1.0;
-    args.self_loop = true;
-    return backend->FusedSweep(args);
-  }
-
-  void ResetPairBounds() {
-    pair_bounds.assign(2 * lower.size(), 0.0);
-    for (size_t i = 0; i < lower.size(); ++i) pair_bounds[2 * i + 1] = 1.0;
-    pair_bounds[0] = 1.0;  // query row pinned at (1, 1)
-  }
-
   static constexpr double kAlpha = 0.5;
 
-  std::vector<double> pair_bounds;
   std::unique_ptr<InMemoryAccessor> accessor;
   std::unique_ptr<LocalGraph> local;
   std::vector<double> lower;
@@ -230,7 +203,6 @@ struct SweepFixture {
   std::vector<double> self_coeff;
   std::vector<double> mesh_dummy_coeff;
   std::vector<double> plain_dummy_coeff;
-  std::vector<double> hidden_coeff;
   std::vector<double> audit_prev_lo;
   std::vector<double> audit_prev_hi;
   uint64_t row_entries = 0;
@@ -302,39 +274,6 @@ void BM_BoundSweepFusedGSAudited(benchmark::State& state) {
   state.counters["visited"] = static_cast<double>(f.lower.size());
 }
 BENCHMARK(BM_BoundSweepFusedGSAudited);
-
-void BM_BoundSweepBackendScalar(benchmark::State& state) {
-  // The scalar SweepBackend over the pair-interleaved layout — the
-  // reference implementation behind the unified engine's seam.
-  SweepFixture& f = SharedFixture();
-  f.ResetPairBounds();
-  auto backend = MakeSweepBackend(SweepBackendKind::kScalar);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.BackendSweep(backend.get()));
-  }
-  state.SetItemsProcessed(state.iterations() * f.row_entries);
-  state.counters["visited"] = static_cast<double>(f.lower.size());
-}
-BENCHMARK(BM_BoundSweepBackendScalar);
-
-void BM_BoundSweepBackendAvx2(benchmark::State& state) {
-  // The blocked-ELL AVX2 SweepBackend (skipped when the CPU lacks AVX2).
-  if (!Avx2SweepAvailable()) {
-    state.SkipWithError("AVX2 not available");
-    return;
-  }
-  SweepFixture& f = SharedFixture();
-  f.ResetPairBounds();
-  auto backend = MakeSweepBackend(SweepBackendKind::kAvx2);
-  f.BackendSweep(backend.get());  // build the ELL layout outside the loop
-  f.ResetPairBounds();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.BackendSweep(backend.get()));
-  }
-  state.SetItemsProcessed(state.iterations() * f.row_entries);
-  state.counters["visited"] = static_cast<double>(f.lower.size());
-}
-BENCHMARK(BM_BoundSweepBackendAvx2);
 
 void BM_FlosExpansionStep(benchmark::State& state) {
   // One LocalExpansion + bound update, amortized over a fresh query each
@@ -443,16 +382,6 @@ double TimeSweeps(SweepFixture* f, SweepKind kind, int sweeps) {
   return ns;
 }
 
-double TimeBackendSweeps(SweepFixture* f, SweepBackend* backend, int sweeps) {
-  f->ResetPairBounds();
-  WallTimer timer;
-  double sink = 0;
-  for (int s = 0; s < sweeps; ++s) sink += f->BackendSweep(backend);
-  const double ns = timer.ElapsedSeconds() * 1e9 / sweeps;
-  benchmark::DoNotOptimize(sink);
-  return ns;
-}
-
 uint32_t SweepsToConverge(SweepFixture* f, double tolerance) {
   f->ResetBounds();
   uint32_t sweeps = 0;
@@ -517,21 +446,6 @@ void EmitKernelBaseline(const char* path) {
   TimeSweeps(&f, SweepKind::kFusedGs, 50);
   const double fused_ns = TimeSweeps(&f, SweepKind::kFusedGs, 400);
   const double audited_ns = TimeSweeps(&f, SweepKind::kFusedGsAudited, 400);
-  // The SweepBackend seam over the pair-interleaved layout: the scalar
-  // reference backend and (when the CPU has it) the blocked-ELL AVX2
-  // backend, both on the same fixture. simd_speedup compares AVX2 against
-  // the scalar FUSED sweep above — the kernel the engine ran before the
-  // seam existed — which is the acceptance bar for the SIMD backend.
-  const auto scalar_backend = MakeSweepBackend(SweepBackendKind::kScalar);
-  TimeBackendSweeps(&f, scalar_backend.get(), 50);
-  const double scalar_pair_ns =
-      TimeBackendSweeps(&f, scalar_backend.get(), 400);
-  double avx2_ns = 0;
-  if (Avx2SweepAvailable()) {
-    const auto avx2_backend = MakeSweepBackend(SweepBackendKind::kAvx2);
-    TimeBackendSweeps(&f, avx2_backend.get(), 50);  // includes ELL build
-    avx2_ns = TimeBackendSweeps(&f, avx2_backend.get(), 400);
-  }
   const double tol = 1e-8;
   const uint32_t gs_iters = SweepsToConverge(&f, tol);
   const QueryPoint rand_point = TimeQueries(RandGraph(), "RAND", 20, 200);
@@ -554,19 +468,6 @@ void EmitKernelBaseline(const char* path) {
   std::fprintf(out, "    \"audit_overhead_ratio\": %.3f\n",
                audited_ns / fused_ns);
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sweep_backend\": {\n");
-  std::fprintf(out, "    \"scalar_pair_ns_per_sweep\": %.1f,\n",
-               scalar_pair_ns);
-  if (avx2_ns > 0) {
-    std::fprintf(out, "    \"avx2_ell_ns_per_sweep\": %.1f,\n", avx2_ns);
-    std::fprintf(out, "    \"simd_speedup_vs_scalar_fused\": %.3f,\n",
-                 fused_ns / avx2_ns);
-    std::fprintf(out, "    \"simd_speedup_vs_scalar_pair\": %.3f,\n",
-                 scalar_pair_ns / avx2_ns);
-  }
-  std::fprintf(out, "    \"avx2_available\": %s\n",
-               Avx2SweepAvailable() ? "true" : "false");
-  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"iterations_to_converge\": {\n");
   std::fprintf(out, "    \"tolerance\": %g,\n", tol);
   std::fprintf(out, "    \"gauss_seidel\": %u\n", gs_iters);
@@ -587,11 +488,9 @@ void EmitKernelBaseline(const char* path) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("kernel baseline written to %s (audit overhead %.2fx, "
-              "simd speedup %.2fx, %u sweeps to converge, RAND %.0f qps, "
-              "RMAT %.0f qps)\n",
-              path, audited_ns / fused_ns,
-              avx2_ns > 0 ? fused_ns / avx2_ns : 0.0, gs_iters,
-              rand_point.qps, rmat_point.qps);
+              "%u sweeps to converge, RAND %.0f qps, RMAT %.0f qps)\n",
+              path, audited_ns / fused_ns, gs_iters, rand_point.qps,
+              rmat_point.qps);
 }
 
 }  // namespace

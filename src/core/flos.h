@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/predicate.h"
-#include "core/sweep_kernel.h"
 #include "graph/accessor.h"
 #include "graph/graph.h"
 #include "graph/labels.h"
@@ -58,10 +57,6 @@ struct FlosOptions {
   /// the search may visit slightly more nodes in exchange for far fewer
   /// O(edges(S)) bound solves. The ablation bench quantifies the trade.
   uint32_t expansion_batch = 0;
-  /// Which kernel implementation runs the fixed-point inner solves
-  /// (core/sweep_kernel.h). kAuto picks the AVX2 blocked-ELL backend when
-  /// the CPU supports it, the scalar reference kernel otherwise.
-  SweepBackendKind sweep_backend = SweepBackendKind::kAuto;
   /// If > 0, stop after visiting this many nodes and return the current
   /// best-effort ranking (stats.exact will be false). 0 = run to proof.
   uint64_t max_visited = 0;

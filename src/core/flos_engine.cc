@@ -150,7 +150,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     ub.tolerance = options.tolerance;
     ub.max_inner_iterations = options.max_inner_iterations;
     ub.self_loop_tightening = options.self_loop_tightening;
-    ub.backend = options.sweep_backend;
     ub.deadline = options.deadline;
     bounds_.Reset(ub);
   }

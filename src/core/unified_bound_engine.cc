@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/sweep_kernel.h"
 #include "util/check.h"
 
 namespace flos {
@@ -26,12 +27,6 @@ UnifiedBoundEngine::UnifiedBoundEngine(LocalGraph* local,
 
 void UnifiedBoundEngine::Reset(const UnifiedBoundOptions& options) {
   options_ = options;
-  const SweepBackendKind resolved = ResolveSweepBackendKind(options.backend);
-  if (!backend_ || resolved != backend_kind_) {
-    backend_ = MakeSweepBackend(resolved);
-    backend_kind_ = resolved;
-  }
-  backend_->InvalidateStructure();
   deadline_hit_ = false;
   bounds_.clear();
   self_coeff_.clear();
@@ -75,9 +70,6 @@ void UnifiedBoundEngine::OnGrowth() {
       bounds_[2 * static_cast<size_t>(q) + 1] = 0.0;
     }
   }
-  // Growth changes row structure and weights (edges into the new nodes are
-  // appended to existing rows), so any backend-cached layout is stale.
-  backend_->InvalidateStructure();
 }
 
 void UnifiedBoundEngine::CaptureDummyFromBoundary() {
@@ -139,10 +131,10 @@ void UnifiedBoundEngine::AuditBoundSandwich(const char* where) const {
 
 void UnifiedBoundEngine::AuditNoLooserThanJacobi(
     const std::vector<double>& prev, bool lower_only) const {
-  // Jacobi-iterate floor: one scalar clamped row update evaluated entirely
-  // on `prev` (the bounds as they stood before the sweep). The slack
-  // absorbs fp reassociation between this reference evaluation and the
-  // backend's (SIMD lockstep) one.
+  // Jacobi-iterate floor: one clamped row update evaluated entirely on
+  // `prev` (the bounds as they stood before the sweep). The sweep evaluates
+  // each row in this same order on inputs no looser than `prev`, so the
+  // slack is only a margin for fp rounding.
   constexpr double kJacobiSlack = 1e-9;
   const double* const p = prev.data();
   FusedPairRowSweep(*local_, p, [&](LocalId i, double s_lo, double s_hi) {
@@ -246,25 +238,61 @@ void UnifiedBoundEngine::RefreshBoundaryCoefficients() {
   }
 }
 
-FixedPointSweepArgs UnifiedBoundEngine::SweepArgs() {
-  FixedPointSweepArgs args;
-  args.local = local_;
-  args.bounds = bounds_.data();
-  args.self_coeff = self_coeff_.data();
-  args.mesh_dummy_coeff = mesh_dummy_coeff_.data();
-  args.plain_dummy_coeff = plain_dummy_coeff_.data();
-  args.hidden_coeff = hidden_coeff_.data();
-  args.alpha = options_.traits.alpha;
-  args.dummy_tight = dummy_tight_;
-  args.dummy_mesh = dummy_mesh_;
-  args.self_loop = options_.self_loop_tightening;
-  return args;
+double UnifiedBoundEngine::FusedSweep() {
+  // Locals, not members: the in-place writes through `b` could otherwise
+  // alias alpha and the dummies and force their reload on every row.
+  double delta = 0;
+  double* const b = bounds_.data();
+  const double* const self_coeff = self_coeff_.data();
+  const double* const mesh_dummy_coeff = mesh_dummy_coeff_.data();
+  const double* const plain_dummy_coeff = plain_dummy_coeff_.data();
+  const double* const hidden_coeff = hidden_coeff_.data();
+  const double alpha = options_.traits.alpha;
+  const double dummy_tight = dummy_tight_;
+  const double dummy_mesh = dummy_mesh_;
+  const bool self_loop = options_.self_loop_tightening;
+  const LocalGraph& local = *local_;
+  FusedPairRowSweep(local, b, [&](LocalId i, double s_lo, double s_hi) {
+    if (local.IsQueryLocal(i)) return;  // pinned
+    double* const pi = b + 2 * static_cast<size_t>(i);
+    const double lo = pi[0];
+    const double hi = pi[1];
+    const double vl = std::max(alpha * s_lo + self_coeff[i] * lo, lo);
+    const double hid = hidden_coeff[i] * dummy_mesh;
+    double vu = alpha * s_hi + plain_dummy_coeff[i] * dummy_tight + hid;
+    if (self_loop) {
+      vu = std::min(vu, alpha * s_hi + self_coeff[i] * hi +
+                            mesh_dummy_coeff[i] * dummy_mesh + hid);
+    }
+    vu = std::min(vu, hi);
+    delta = std::max(delta, std::max(vl - lo, hi - vu));
+    pi[0] = vl;  // in place: Gauss–Seidel
+    pi[1] = vu;
+  });
+  return delta;
+}
+
+double UnifiedBoundEngine::LowerSweep() {
+  // The shared pair scan also forms the upper dot product; unused here,
+  // the optimizer drops it.
+  double delta = 0;
+  double* const b = bounds_.data();
+  const double* const self_coeff = self_coeff_.data();
+  const double alpha = options_.traits.alpha;
+  const LocalGraph& local = *local_;
+  FusedPairRowSweep(local, b, [&](LocalId i, double s_lo, double) {
+    if (local.IsQueryLocal(i)) return;  // pinned
+    double& lo = b[2 * static_cast<size_t>(i)];
+    const double v = std::max(alpha * s_lo + self_coeff[i] * lo, lo);
+    delta = std::max(delta, v - lo);
+    lo = v;
+  });
+  return delta;
 }
 
 uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
   const bool has_deadline =
       options_.deadline != std::chrono::steady_clock::time_point::max();
-  const FixedPointSweepArgs args = SweepArgs();
   uint32_t iters = 0;
   deadline_hit_ = false;
   // Audit tier: snapshot the incoming bounds so every sweep can be checked
@@ -281,8 +309,7 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
     // every fourth sweep.
     const bool check = iters < 4 || (iters & 3) == 3 ||
                        iters + 1 == options_.max_inner_iterations;
-    const double delta = lower_only ? backend_->LowerSweep(args)
-                                    : backend_->FusedSweep(args);
+    const double delta = lower_only ? LowerSweep() : FusedSweep();
     ++iters;
     FLOS_AUDIT_SCOPE {
       // Certified bounds only ever tighten: the in-place updates clamp
@@ -298,9 +325,8 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
                         "upper bound loosened across a sweep");
         }
       }
-      // Every sweep — Gauss–Seidel or SIMD-reordered — must land at least
-      // as tight as one Jacobi step from the pre-sweep state (the
-      // monotone-mixture floor).
+      // Every Gauss–Seidel sweep must land at least as tight as one Jacobi
+      // step from the pre-sweep state (the monotone-mixture floor).
       AuditNoLooserThanJacobi(audit_prev, lower_only);
       AuditBoundSandwich("sandwich violated after a fused sweep");
       audit_prev = bounds_;
@@ -343,8 +369,8 @@ void UnifiedBoundEngine::HorizonDpUpdate() {
   // fused scan of the local CSR computing both bound dot products, and the
   // out-of-S transition mass comes from the maintained row in-mass (no
   // per-update O(edges) rescans). Degree-0 nodes can never hit q; their
-  // value saturates at L. Bit-exact scalar evaluation is part of the DP's
-  // test contract, so this path stays off the SweepBackend seam.
+  // value saturates at L. Bit-exact evaluation is part of the DP's test
+  // contract (tests pin it against a reference recursion).
   for (int t = 1; t <= length; ++t) {
     // Anytime hook: the horizon recursion is only a valid THT bound once
     // all L steps ran, so an expired deadline abandons the recompute and
@@ -459,10 +485,6 @@ void UnifiedBoundEngine::RestoreBounds(const double* data, size_t nodes,
   std::copy_n(data, 2 * nodes, bounds_.data());
   dummy_mesh_ = dummy_mesh;
   dummy_tight_ = dummy_tight;
-  // The restored values replace whatever the fresh seed wrote; any
-  // backend-cached layout keyed to value-independent structure is still
-  // fine, but invalidate anyway so a warm start never trusts stale state.
-  backend_->InvalidateStructure();
   FLOS_AUDIT_SCOPE {
     AuditBoundSandwich("restored bounds violate the sandwich");
   }

@@ -19,31 +19,27 @@
 //    with constant value r_d >= every unvisited proximity (Theorem 5); the
 //    self-loop variant additionally splits the dummy mass per Lemma 4.
 //  * Inner solve: warm-started fused Gauss–Seidel sweeps — each sweep
-//    computes both bounds' dot products in ONE scan of the local CSR and
-//    updates them in place. The hot loop runs behind the SweepBackend seam
-//    (core/sweep_kernel.h): a scalar reference kernel and a blocked-ELL
-//    AVX2 kernel, runtime-dispatched.
+//    computes both bounds' dot products in ONE scan of the local CSR
+//    (FusedPairRowSweep, core/sweep_kernel.h), rows in visit order, and
+//    updates them in place.
 //
-// Validity under inexact, in-place, REORDERED solves: the true proximity
-// vector is a supersolution of the lower system and a subsolution of the
-// upper system, and both operators are monotone. Applying a row update to
-// ANY mixture of previous-sweep and already-updated values — all certified
+// Validity under inexact, in-place solves: the true proximity vector is a
+// supersolution of the lower system and a subsolution of the upper
+// system, and both operators are monotone. Applying a row update to ANY
+// mixture of previous-sweep and already-updated values — all certified
 // bounds — yields a certified bound again; newer values are tighter, so
 // the result is also elementwise at least as tight as the Jacobi iterate
-// after the same number of sweeps, REGARDLESS of the order rows are
-// visited in. That is what lets a backend reorder rows for SIMD without
-// touching certification. Bounds are additionally clamped elementwise
-// against their previous values, keeping them monotone across outer
-// iterations (Section 5.2) even in floating point.
+// after the same number of sweeps. Bounds are additionally clamped
+// elementwise against their previous values, keeping them monotone across
+// outer iterations (Section 5.2) even in floating point.
 //
 // Horizon-DP family (THT, Appendix 10.4): both bounds are exact L-step DP
 // solves of modified systems on S — walks escaping S continue with
 // min(remaining horizon, unvisited-hop lower bound) for the lower bound
 // and with the full remaining horizon for the upper. The recursion needs
 // the step-(t-1) values on the right-hand side, so the DP keeps a Jacobi
-// double buffer evaluated by the scalar fused scan (in-place or reordered
-// evaluation would mix horizons and is NOT valid here); the SweepBackend
-// seam deliberately does not cover it.
+// double buffer evaluated by the fused scan FusedRowSweep (in-place
+// evaluation would mix horizons and is NOT valid here).
 //
 // Storage: bounds live interleaved — bounds_[2i] = lower_i,
 // bounds_[2i+1] = upper_i — so each random column access in a sweep
@@ -54,12 +50,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/local_graph.h"
 #include "core/measure_traits.h"
-#include "core/sweep_kernel.h"
 
 namespace flos {
 
@@ -78,12 +72,6 @@ struct UnifiedBoundOptions {
   /// unvisited nodes) and the alpha^hop-distance cap. Rigorous; see
   /// CaptureDummyFromBoundary. Off reproduces Algorithm 5 line 7 verbatim.
   bool alpha_dummy_tightening = true;
-  /// Whether to fold the per-frontier-node uppers (ComputeOutsideUppers)
-  /// into the tight dummy each update is part of the traits
-  /// (traits.frontier_dummy; BoundTraitsFor sets it for RWR, whose
-  /// termination needs the frontier bound anyway).
-  /// Which sweep-kernel implementation runs the fixed-point hot loop.
-  SweepBackendKind backend = SweepBackendKind::kAuto;
   /// Anytime hook: solves stop between sweeps once this instant passes
   /// (checked at the amortized convergence checkpoints). Every completed
   /// fixed-point sweep leaves certified bounds, so an interrupted solve is
@@ -149,9 +137,6 @@ class UnifiedBoundEngine {
 
   BoundFamily family() const { return options_.traits.family; }
 
-  /// Name of the sweep backend actually running the fixed-point hot loop.
-  const char* backend_name() const { return backend_->name(); }
-
   /// The Algorithm-5 dummy value (max boundary upper, non-increasing).
   double dummy_value() const { return dummy_mesh_; }
 
@@ -196,7 +181,7 @@ class UnifiedBoundEngine {
   /// is the warm-start entry: call after Reset() + the LocalGraph restore,
   /// so Size() matches the saved state). The dummies are restored too —
   /// they are non-increasing across a query, so resuming from them is
-  /// sound. Invalidates any backend-cached layout.
+  /// sound.
   void RestoreBounds(const double* data, size_t nodes, double dummy_mesh,
                      double dummy_tight);
 
@@ -216,17 +201,17 @@ class UnifiedBoundEngine {
   void AuditBoundSandwich(const char* where) const;
 
   /// Audit tier: recomputes the clamped Jacobi iterate from `prev` with the
-  /// scalar row operator and aborts if any live bound is looser than it —
-  /// the tightness floor every sweep (Gauss–Seidel or reordered SIMD) must
-  /// clear by the monotone-mixture argument.
+  /// row operator and aborts if any live bound is looser than it — the
+  /// tightness floor every Gauss–Seidel sweep must clear by the
+  /// monotone-mixture argument.
   void AuditNoLooserThanJacobi(const std::vector<double>& prev,
                                bool lower_only) const;
 
   void RefreshBoundaryCoefficients();
 
-  /// The fused Gauss–Seidel solve (fixed point): one backend sweep per
-  /// iteration updates both bounds (or only the lower when `lower_only`),
-  /// in place, stopping once the largest elementwise movement of a checked
+  /// The fused Gauss–Seidel solve (fixed point): one sweep per iteration
+  /// (FusedSweep, or LowerSweep when `lower_only`) updates the bounds in
+  /// place, stopping once the largest elementwise movement of a checked
   /// sweep drops below `tolerance`. Convergence checks are amortized:
   /// every sweep for the first few (warm starts converge immediately),
   /// then every fourth.
@@ -237,12 +222,18 @@ class UnifiedBoundEngine {
   /// deadline.
   void HorizonDpUpdate();
 
-  FixedPointSweepArgs SweepArgs();
+  /// One fused Gauss–Seidel sweep over the visited rows in visit order:
+  /// updates both bounds in place through the monotone clamps (the lower
+  /// and the minimum of the plain and mesh upper constructions). Returns
+  /// the largest elementwise movement (lower raises and upper drops).
+  double FusedSweep();
+
+  /// One Gauss–Seidel sweep of the lower system alone (UpdateLowerOnly,
+  /// FinalizeExhausted); returns the largest lower raise.
+  double LowerSweep();
 
   LocalGraph* local_;
   UnifiedBoundOptions options_;
-  std::unique_ptr<SweepBackend> backend_;
-  SweepBackendKind backend_kind_ = SweepBackendKind::kAuto;
   /// Interleaved (lower, upper) per LocalId.
   std::vector<double> bounds_;
   /// Coefficient of r_i itself (self-loop) in the mesh construction.
@@ -252,8 +243,11 @@ class UnifiedBoundEngine {
   /// Coefficient of r_d in the plain construction (alpha * out mass).
   std::vector<double> plain_dummy_coeff_;
   /// Coefficient of r_d for hidden (non-enumerable) row mass, multiplying
-  /// dummy_mesh_ in BOTH constructions (see FixedPointSweepArgs). All-zero
-  /// unless the accessor truncates adjacency (shard fringe rows).
+  /// dummy_mesh_ in BOTH constructions: hidden edges may land on VISITED
+  /// boundary nodes, so this never multiplies dummy_tight_, and, lacking
+  /// known return edges, it keeps the plain single-alpha redirect in the
+  /// mesh construction too. All-zero unless the accessor truncates
+  /// adjacency (shard fringe rows).
   std::vector<double> hidden_coeff_;
   /// Horizon-DP double buffers (work = step t-1, next = step t).
   std::vector<double> work_lo_;

@@ -1,5 +1,5 @@
 // Property tests for the fused Gauss–Seidel bound kernels
-// (core/unified_bound_engine.cc over the core/sweep_kernel.h backends):
+// (core/unified_bound_engine.cc over the core/sweep_kernel.h row scans):
 //
 //  (a) the fused sweeps still produce CERTIFIED bounds
 //      (lower <= exact <= upper against measures/exact);
@@ -9,8 +9,12 @@
 //      state) — monotone operators applied to already-updated values can
 //      only tighten;
 //  (c) the THT fused DP is bit-identical to the reference horizon
-//      recursion (it stays Jacobi by necessity; only the row scan fused,
-//      never handed to a reordering sweep backend).
+//      recursion (it stays Jacobi by necessity; only the row scan is
+//      fused);
+//  (d) growth round by round keeps the sandwich for every measure and
+//      never loosens a bound, the lower-only and finalizing sweeps touch
+//      only what they should, and bounds restored into a fresh engine
+//      resume bit-identically.
 //
 // Parameterized across generator seeds and the no-local-optimum measures:
 // PHP (alpha = c) and EI/DHT (alpha = 1 - c) share the PHP-form system,
@@ -22,9 +26,11 @@
 #include <vector>
 
 #include "core/local_graph.h"
+#include "core/measure_traits.h"
 #include "core/unified_bound_engine.h"
 #include "graph/accessor.h"
 #include "measures/exact.h"
+#include "measures/measure.h"
 #include "tests/test_util.h"
 
 namespace flos {
@@ -354,6 +360,223 @@ TEST(FusedKernelConvergenceTest, GaussSeidelConvergesInNoMoreSweeps) {
       << "fused GS should converge in no more sweeps than Jacobi (+ the "
          "amortized-check stride slack)";
   EXPECT_GT(gs_sweeps, 0u);
+}
+
+// Expands every boundary node of S at once: one ring of growth.
+void GrowRing(LocalGraph* local) {
+  std::vector<LocalId> ring;
+  for (LocalId i = 0; i < local->Size(); ++i) {
+    if (local->IsBoundary(i)) ring.push_back(i);
+  }
+  for (const LocalId u : ring) ValueOrDie(local->Expand(u));
+}
+
+// The exact values the engine bounds: the PHP-form system at the measure's
+// alpha for the fixed-point family, the L-step DP for THT.
+std::vector<double> ExactEngineValues(const Graph& g, NodeId q, Measure m,
+                                      double c, int length) {
+  if (m == Measure::kTht) return ValueOrDie(ExactTht(g, q, length));
+  ExactSolveOptions tight;
+  tight.tolerance = 1e-13;
+  return ValueOrDie(ExactPhp(g, q, AlphaFor(m, c), tight));
+}
+
+// Ring-by-ring growth through the driver's call sequence (capture the
+// dummy, expand, OnGrowth, UpdateBounds), with the in-place sweep reading
+// the engine's incrementally refreshed coefficients: after every round the
+// bounds bracket the exact values, and every node visited in an earlier
+// round keeps a bound at least as tight as it had then.
+class FusedSweepGrowthTest : public ::testing::TestWithParam<Measure> {};
+
+TEST_P(FusedSweepGrowthTest, KeepsTheSandwichAndTightensEveryRound) {
+  const Measure measure = GetParam();
+  const Graph g = RandomConnectedGraph(400, 1600, 17);
+  const NodeId q = 9;
+  const double c = 0.5;
+  const int length = 10;
+  const std::vector<double> exact = ExactEngineValues(g, q, measure, c,
+                                                      length);
+
+  InMemoryAccessor accessor(&g);
+  LocalGraph local(&accessor);
+  FLOS_ASSERT_OK(local.Init(q));
+  UnifiedBoundOptions be;
+  be.traits = BoundTraitsFor(measure, c, length);
+  be.tolerance = 1e-10;
+  UnifiedBoundEngine engine(&local, be);
+  engine.UpdateBounds();
+
+  std::vector<double> prev;
+  for (int round = 0; round < 6 && !local.Exhausted(); ++round) {
+    engine.SaveBounds(&prev);
+    engine.CaptureDummyFromBoundary();
+    GrowRing(&local);
+    engine.OnGrowth();
+    engine.UpdateBounds();
+
+    for (LocalId i = 0; i < local.Size(); ++i) {
+      const double truth = exact[local.GlobalId(i)];
+      ASSERT_LE(engine.lower(i), truth + 1e-9)
+          << "lower crossed exact at " << local.GlobalId(i) << " round "
+          << round;
+      ASSERT_GE(engine.upper(i), truth - 1e-9)
+          << "upper crossed exact at " << local.GlobalId(i) << " round "
+          << round;
+      if (2 * static_cast<size_t>(i) < prev.size()) {
+        ASSERT_GE(engine.lower(i), prev[2 * static_cast<size_t>(i)])
+            << "lower loosened at " << local.GlobalId(i) << " round "
+            << round;
+        ASSERT_LE(engine.upper(i), prev[2 * static_cast<size_t>(i) + 1])
+            << "upper loosened at " << local.GlobalId(i) << " round "
+            << round;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Measures, FusedSweepGrowthTest,
+    ::testing::Values(Measure::kPhp, Measure::kEi, Measure::kDht,
+                      Measure::kTht, Measure::kRwr),
+    [](const ::testing::TestParamInfo<Measure>& param_info) {
+      return MeasureName(param_info.param);
+    });
+
+// UpdateLowerOnly runs the lower sweep alone: the lowers rise but stay
+// certified, and the uppers are exactly what the last full update left.
+TEST(LowerSweepTest, UpdateLowerOnlyRaisesOnlyTheLowers) {
+  const Graph g = RandomConnectedGraph(300, 900, 23);
+  const NodeId q = 4;
+  const double alpha = 0.5;
+  ExactSolveOptions tight;
+  tight.tolerance = 1e-13;
+  const std::vector<double> exact = ValueOrDie(ExactPhp(g, q, alpha, tight));
+
+  InMemoryAccessor accessor(&g);
+  LocalGraph local(&accessor);
+  FLOS_ASSERT_OK(local.Init(q));
+  UnifiedBoundOptions be;
+  be.traits.alpha = alpha;
+  be.tolerance = 1e-10;
+  UnifiedBoundEngine engine(&local, be);
+  engine.UpdateBounds();
+  engine.CaptureDummyFromBoundary();
+  GrowRing(&local);
+  engine.OnGrowth();
+  engine.UpdateBounds();
+
+  std::vector<double> before;
+  engine.SaveBounds(&before);
+  GrowRing(&local);
+  engine.OnGrowth();
+  EXPECT_GT(engine.UpdateLowerOnly(), 0u);
+
+  bool any_raised = false;
+  for (LocalId i = 0; i < local.Size(); ++i) {
+    const size_t k = 2 * static_cast<size_t>(i);
+    ASSERT_LE(engine.lower(i), exact[local.GlobalId(i)] + 1e-9)
+        << "lower crossed exact at " << local.GlobalId(i);
+    if (k < before.size()) {
+      ASSERT_GE(engine.lower(i), before[k]) << "lower loosened";
+      any_raised = any_raised || engine.lower(i) > before[k];
+      ASSERT_EQ(engine.upper(i), before[k + 1])
+          << "lower-only update touched an upper at " << local.GlobalId(i);
+    } else if (!local.IsQueryLocal(i)) {
+      ASSERT_EQ(engine.upper(i), 1.0)
+          << "new node's upper is not its initial value";
+    }
+  }
+  EXPECT_TRUE(any_raised) << "growth added mass, some lower must rise";
+}
+
+// Once S is the whole component, FinalizeExhausted solves the lower
+// system tightly and collapses each interval onto the exact value.
+TEST(LowerSweepTest, FinalizeExhaustedCollapsesOntoTheExactValues) {
+  const Graph g = RandomConnectedGraph(80, 240, 31);
+  const NodeId q = 11;
+  const double alpha = 0.5;
+  ExactSolveOptions tight;
+  tight.tolerance = 1e-13;
+  const std::vector<double> exact = ValueOrDie(ExactPhp(g, q, alpha, tight));
+
+  InMemoryAccessor accessor(&g);
+  LocalGraph local(&accessor);
+  FLOS_ASSERT_OK(local.Init(q));
+  UnifiedBoundOptions be;
+  be.traits.alpha = alpha;
+  UnifiedBoundEngine engine(&local, be);
+  while (!local.Exhausted()) {
+    engine.CaptureDummyFromBoundary();
+    GrowRing(&local);
+    engine.OnGrowth();
+    engine.UpdateBounds();
+  }
+  ASSERT_EQ(local.Size(), g.NumNodes());
+  EXPECT_GT(engine.FinalizeExhausted(1e-13), 0u);
+  EXPECT_FALSE(engine.deadline_hit());
+  for (LocalId i = 0; i < local.Size(); ++i) {
+    ASSERT_EQ(engine.lower(i), engine.upper(i))
+        << "interval not collapsed at " << local.GlobalId(i);
+    ASSERT_NEAR(engine.lower(i), exact[local.GlobalId(i)], 1e-9)
+        << "finalized value off exact at " << local.GlobalId(i);
+  }
+}
+
+// Warm start: bounds saved from one engine and restored into a fresh
+// engine over an identically grown subgraph resume bit-identically — the
+// sweep keeps no state beyond the bounds, the dummies and coefficients it
+// recomputes from the subgraph.
+TEST(FusedSweepTest, RestoredBoundsResumeBitIdentically) {
+  const Graph g = RandomConnectedGraph(400, 1600, 41);
+  const NodeId q = 3;
+  InMemoryAccessor accessor(&g);
+  UnifiedBoundOptions be;
+  be.traits = BoundTraitsFor(Measure::kPhp, 0.5, 10);
+  be.tolerance = 1e-8;
+
+  LocalGraph grown(&accessor);
+  FLOS_ASSERT_OK(grown.Init(q));
+  UnifiedBoundEngine original(&grown, be);
+  original.UpdateBounds();
+  LocalGraph replay(&accessor);
+  FLOS_ASSERT_OK(replay.Init(q));
+  for (int round = 0; round < 2; ++round) {
+    original.CaptureDummyFromBoundary();
+    GrowRing(&grown);
+    GrowRing(&replay);
+    original.OnGrowth();
+    original.UpdateBounds();
+  }
+  ASSERT_EQ(grown.Size(), replay.Size());
+
+  std::vector<double> saved;
+  original.SaveBounds(&saved);
+  UnifiedBoundEngine restored(&replay, be);
+  restored.RestoreBounds(saved.data(), saved.size() / 2,
+                         original.dummy_value(),
+                         original.tight_dummy_value());
+  restored.UpdateBounds();
+  original.UpdateBounds();
+
+  // One more round on both, through the same call sequence.
+  for (UnifiedBoundEngine* engine : {&original, &restored}) {
+    engine->CaptureDummyFromBoundary();
+  }
+  GrowRing(&grown);
+  GrowRing(&replay);
+  ASSERT_EQ(grown.Size(), replay.Size());
+  original.OnGrowth();
+  restored.OnGrowth();
+  EXPECT_EQ(original.UpdateBounds(), restored.UpdateBounds());
+  EXPECT_EQ(original.dummy_value(), restored.dummy_value());
+  EXPECT_EQ(original.tight_dummy_value(), restored.tight_dummy_value());
+  for (LocalId i = 0; i < grown.Size(); ++i) {
+    ASSERT_EQ(grown.GlobalId(i), replay.GlobalId(i));
+    ASSERT_EQ(original.lower(i), restored.lower(i))
+        << "restored lower diverged at " << grown.GlobalId(i);
+    ASSERT_EQ(original.upper(i), restored.upper(i))
+        << "restored upper diverged at " << grown.GlobalId(i);
+  }
 }
 
 }  // namespace

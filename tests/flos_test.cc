@@ -9,7 +9,6 @@
 #include <string>
 #include <tuple>
 
-#include "core/sweep_kernel.h"
 #include "measures/exact.h"
 #include "measures/measure.h"
 #include "tests/test_util.h"
@@ -247,24 +246,17 @@ TEST(FlosTest, DefaultOptionsCertifyTheExactTopK) {
   }
 }
 
-// Each sweep backend, forced, certifies the exact top-k for every measure
-// (THT runs its horizon DP whichever backend is forced), and every returned
-// interval is well formed. One test per (measure, backend) pair names the
-// failing configuration directly.
-class FlosBackendExactnessTest
-    : public ::testing::TestWithParam<std::tuple<Measure, SweepBackendKind>> {
-};
+// Every measure certifies the exact top-k (THT through its horizon DP),
+// and every returned interval is well formed. One test per measure names
+// the failing configuration directly.
+class FlosMeasureExactnessTest : public ::testing::TestWithParam<Measure> {};
 
-TEST_P(FlosBackendExactnessTest, CertifiesTheExactTopK) {
-  const auto [measure, backend] = GetParam();
-  if (backend == SweepBackendKind::kAvx2 && !Avx2SweepAvailable()) {
-    GTEST_SKIP() << "CPU lacks AVX2";
-  }
+TEST_P(FlosMeasureExactnessTest, CertifiesTheExactTopK) {
+  const Measure measure = GetParam();
   const Graph g = RandomConnectedGraph(600, 2400, 17);
   const MeasureParams params;
   FlosOptions options;
   options.measure = measure;
-  options.sweep_backend = backend;
   for (const NodeId query : {NodeId{5}, NodeId{321}}) {
     const FlosResult result = ValueOrDie(FlosTopK(g, query, 10, options));
     ASSERT_TRUE(result.stats.exact) << "query " << query;
@@ -280,16 +272,11 @@ TEST_P(FlosBackendExactnessTest, CertifiesTheExactTopK) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    MeasuresByBackend, FlosBackendExactnessTest,
-    ::testing::Combine(::testing::Values(Measure::kPhp, Measure::kEi,
-                                         Measure::kDht, Measure::kTht,
-                                         Measure::kRwr),
-                       ::testing::Values(SweepBackendKind::kScalar,
-                                         SweepBackendKind::kAvx2)),
-    [](const ::testing::TestParamInfo<std::tuple<Measure, SweepBackendKind>>&
-           param_info) {
-      return MeasureName(std::get<0>(param_info.param)) + "_" +
-             SweepBackendKindName(std::get<1>(param_info.param));
+    Measures, FlosMeasureExactnessTest,
+    ::testing::Values(Measure::kPhp, Measure::kEi, Measure::kDht,
+                      Measure::kTht, Measure::kRwr),
+    [](const ::testing::TestParamInfo<Measure>& param_info) {
+      return MeasureName(param_info.param);
     });
 
 }  // namespace
