@@ -10,8 +10,8 @@ Enforced policy (see DESIGN.md "Correctness tooling & invariant policy"):
   no-exceptions   `throw` / `try` are banned in src/: every fallible
                   operation returns Status/Result (util/status.h), and the
                   build never relies on stack unwinding.
-  no-naked-new    `new` / `malloc`-family calls are banned in src/ outside
-                  the slab-arena machinery; ownership goes through
+  no-naked-new    `new` / `malloc`-family calls are banned in src/;
+                  ownership goes through
                   containers and std::make_unique. A deliberate exception
                   carries `// lint:allow(no-naked-new) <reason>`.
   no-ad-hoc-rng   `rand()` / `std::random_device` are banned everywhere

@@ -42,10 +42,6 @@ struct FlosOptions {
   int tht_length = 10;
   /// Inner-iteration threshold tau (Algorithm 7).
   double tolerance = 1e-5;
-  /// Tolerance of the final solve when the component is exhausted.
-  double final_tolerance = 1e-12;
-  /// Cap on inner iterations per bound update.
-  uint32_t max_inner_iterations = 10000;
   /// Star-to-mesh self-loop tightening (Section 5.3). On by default; the
   /// ablation bench measures its effect.
   bool self_loop_tightening = true;

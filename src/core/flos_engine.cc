@@ -9,6 +9,13 @@
 
 namespace flos {
 
+namespace {
+/// Cap on inner iterations per bound update.
+constexpr uint32_t kMaxInnerIterations = 10000;
+/// Tolerance of the final solve once the query's component is exhausted.
+constexpr double kFinalTolerance = 1e-12;
+}  // namespace
+
 FlosEngine::FlosEngine(GraphAccessor* accessor)
     : accessor_(accessor),
       local_(accessor),
@@ -148,7 +155,7 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     UnifiedBoundOptions ub;
     ub.traits = traits;
     ub.tolerance = options.tolerance;
-    ub.max_inner_iterations = options.max_inner_iterations;
+    ub.max_inner_iterations = kMaxInnerIterations;
     ub.self_loop_tightening = options.self_loop_tightening;
     ub.deadline = options.deadline;
     bounds_.Reset(ub);
@@ -378,8 +385,7 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
       // honors the deadline; if it was cut short the bounds are still
       // certified but not yet exact, so the result stays uncertified.
       phase_lap(&stats.expand_ns);
-      stats.inner_iterations += bounds_.FinalizeExhausted(
-          options.final_tolerance);
+      stats.inner_iterations += bounds_.FinalizeExhausted(kFinalTolerance);
       phase_lap(&stats.solve_ns);
       if (bounds_.deadline_hit()) {
         expired = true;

@@ -8,45 +8,42 @@ namespace flos {
 
 namespace {
 constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max() - 1;
-/// Smallest row slab (entries). Rows double from here, so a row of final
-/// length L occupies at most 2L arena entries and is copied O(L) times
-/// total across all growths.
-constexpr uint32_t kMinSlab = 4;
 }  // namespace
+
+void LocalGraphSnapshot::Clear() {
+  query = kInvalidNode;
+  query_count = 0;
+  truncated_seen = false;
+  boundary_count = 0;
+  local_to_global.clear();
+  weighted_degree.clear();
+  hidden_mass.clear();
+  outside_count.clear();
+  hop_dist.clear();
+  row_len.clear();
+  row_in_mass.clear();
+  span.assign(1, 0);
+  neighbors.clear();
+  row_idx.clear();
+  row_weight.clear();
+  adjacent.clear();
+  adjacent_degree.clear();
+}
 
 LocalGraph::LocalGraph(GraphAccessor* accessor) : accessor_(accessor) {
   const bool dense = accessor->DenseIndexHint();
   const uint64_t n = accessor->NumNodes();
   global_to_local_.Configure(n, dense);
-  degree_cache_.Configure(n, dense);
-  ever_adjacent_.Configure(n, dense);
+  adjacent_index_.Configure(n, dense);
 }
 
 void LocalGraph::Reset() {
-  query_ = kInvalidNode;
-  query_count_ = 0;
+  state_.Clear();
   global_to_local_.Reset();
-  degree_cache_.Reset();
-  ever_adjacent_.Reset();
-  local_to_global_.clear();
-  weighted_degree_.clear();
-  hidden_mass_.clear();
-  truncated_seen_ = false;
-  outside_count_.clear();
-  boundary_count_ = 0;
-  arena_used_ = 0;  // rewind the bump pointer; arena capacity is kept
-  row_start_.clear();
-  row_len_.clear();
-  row_cap_.clear();
-  row_in_mass_.clear();
+  adjacent_index_.Reset();
   dirty_.clear();
   dirty_out_.clear();
   in_dirty_.clear();
-  hop_dist_.clear();
-  outside_degree_heap_.clear();
-  heap_compact_size_ = 0;
-  // neighbors_ keeps its high-water slots (and the slots their buffers);
-  // Size() gates which entries are live.
 }
 
 Status LocalGraph::Init(NodeId query) {
@@ -54,7 +51,7 @@ Status LocalGraph::Init(NodeId query) {
 }
 
 Status LocalGraph::Init(const std::vector<NodeId>& queries) {
-  if (query_ != kInvalidNode) {
+  if (state_.query != kInvalidNode) {
     return Status::FailedPrecondition(
         "LocalGraph already initialized (call Reset between queries)");
   }
@@ -69,39 +66,46 @@ Status LocalGraph::Init(const std::vector<NodeId>& queries) {
       return Status::InvalidArgument("duplicate query node " +
                                      std::to_string(q));
     }
-    ++query_count_;  // before Add so hop distances see the seed as a source
+    ++state_.query_count;  // before Add: hop distances see it as a source
     FLOS_RETURN_IF_ERROR(Add(q));
   }
-  query_ = queries.front();
-  heap_compact_size_ = Size();
+  state_.query = queries.front();
   FLOS_AUDIT_SCOPE { AuditBookkeeping(); }
   return Status::OK();
 }
 
 void LocalGraph::AuditBookkeeping() const {
   const uint32_t n = Size();
+  FLOS_CHECK_EQ(state_.span.size(), static_cast<size_t>(n) + 1,
+                "span offsets do not match the visited set");
+  FLOS_CHECK_EQ(state_.span[n], state_.neighbors.size(),
+                "last span does not end at the arena end");
   uint32_t boundary = 0;
   for (LocalId i = 0; i < n; ++i) {
     // Ground-truth outside count: re-resolve every stored neighbor's
-    // visited status against the index.
+    // visited status against the index. Every unvisited neighbor must be
+    // in the adjacency index.
     uint32_t outside = 0;
-    for (const Neighbor& nb : neighbors_[i]) {
-      if (!Contains(nb.id)) ++outside;
+    for (const Neighbor& nb : Neighbors(i)) {
+      if (Contains(nb.id)) continue;
+      ++outside;
+      FLOS_CHECK(AdjacentIndex(nb.id) != kInvalidLocal,
+                 "unvisited neighbor missing from the adjacency index");
     }
-    if (hidden_mass_[i] > 0) ++outside;  // the phantom hidden neighbor
-    FLOS_CHECK_EQ(outside_count_[i], outside,
+    if (state_.hidden_mass[i] > 0) ++outside;  // the phantom hidden neighbor
+    FLOS_CHECK_EQ(state_.outside_count[i], outside,
                   "maintained outside count diverged from neighbor lists");
     if (outside > 0) ++boundary;
 
-    // Row spine sanity: the slab must lie inside the arena's used prefix.
-    FLOS_CHECK_LE(row_len_[i], row_cap_[i], "row length exceeds slab");
-    FLOS_CHECK_LE(static_cast<uint64_t>(row_start_[i]) + row_cap_[i],
-                  static_cast<uint64_t>(arena_used_),
-                  "row slab extends past the arena bump pointer");
+    // The row fills a prefix of the node's own span.
+    FLOS_CHECK_LE(state_.span[i], state_.span[i + 1],
+                  "span offsets decrease");
+    FLOS_CHECK_LE(state_.row_len[i], state_.span[i + 1] - state_.span[i],
+                  "row longer than its span");
 
     // RowInMass is documented bitwise-equal to summing the row in append
-    // order (GrowRow preserves entry order), so compare EXACTLY: any
-    // difference means an append bypassed the incremental accumulator.
+    // order, so compare EXACTLY: any difference means an append bypassed
+    // the incremental accumulator.
     const LocalRow row = Row(i);
     double mass = 0;
     for (uint32_t e = 0; e < row.len; ++e) {
@@ -115,41 +119,21 @@ void LocalGraph::AuditBookkeeping() const {
                 "maintained boundary count diverged from ground truth");
 }
 
-void LocalGraph::GrowRow(LocalId i, uint32_t min_cap) {
-  uint32_t cap = std::max(kMinSlab, row_cap_[i] * 2);
-  while (cap < min_cap) cap *= 2;
-  const uint32_t start = arena_used_;
-  arena_used_ += cap;
-  if (arena_idx_.size() < arena_used_) {
-    arena_idx_.resize(arena_used_);
-    arena_weight_.resize(arena_used_);
-  }
-  const uint32_t old_start = row_start_[i];
-  const uint32_t len = row_len_[i];
-  // The old slab becomes garbage until the next Reset; doubling bounds the
-  // total abandoned space by the live space.
-  std::copy_n(arena_idx_.begin() + old_start, len, arena_idx_.begin() + start);
-  std::copy_n(arena_weight_.begin() + old_start, len,
-              arena_weight_.begin() + start);
-  row_start_[i] = start;
-  row_cap_[i] = cap;
-}
-
 void LocalGraph::RowAppend(LocalId i, LocalId j, double p) {
   FLOS_DCHECK(p >= 0.0, "transition probabilities are non-negative");
-  if (row_len_[i] == row_cap_[i]) GrowRow(i, row_len_[i] + 1);
-  FLOS_DCHECK(row_len_[i] < row_cap_[i], "GrowRow left the row full");
-  const uint32_t at = row_start_[i] + row_len_[i];
-  arena_idx_[at] = j;
-  arena_weight_[at] = p;
-  ++row_len_[i];
-  row_in_mass_[i] += p;
+  const uint64_t at = state_.span[i] + state_.row_len[i];
+  FLOS_DCHECK(at < state_.span[i + 1], "row append past its span");
+  state_.row_idx[at] = j;
+  state_.row_weight[at] = p;
+  ++state_.row_len[i];
+  state_.row_in_mass[i] += p;
 }
 
 Status LocalGraph::Add(NodeId global) {
-  const auto local = static_cast<LocalId>(local_to_global_.size());
+  LocalGraphSnapshot& s = state_;
+  const auto local = static_cast<LocalId>(s.local_to_global.size());
   global_to_local_.Insert(global, local);
-  local_to_global_.push_back(global);
+  s.local_to_global.push_back(global);
   in_dirty_.push_back(true);
   dirty_.push_back(local);
 
@@ -172,39 +156,48 @@ Status LocalGraph::Add(NodeId global) {
     hidden = wi - visible;
     if (!(hidden > 1e-9 * wi)) hidden = 0;
   }
-  weighted_degree_.push_back(wi);
-  hidden_mass_.push_back(hidden);
-  if (hidden > 0) truncated_seen_ = true;
-  degree_cache_.Insert(global, wi);
+  s.weighted_degree.push_back(wi);
+  s.hidden_mass.push_back(hidden);
+  if (hidden > 0) s.truncated_seen = true;
 
-  // New empty row; its first append carves a slab off the arena tail.
-  row_start_.push_back(arena_used_);
-  row_len_.push_back(0);
-  row_cap_.push_back(0);
-  row_in_mass_.push_back(0.0);
+  // This node's exact-size span: the fetched list, and room for its row.
+  s.neighbors.insert(s.neighbors.end(), scratch_.begin(), scratch_.end());
+  const uint64_t end = s.neighbors.size();
+  s.span.push_back(end);
+  s.row_idx.resize(end);
+  s.row_weight.resize(end);
+  s.row_len.push_back(0);
+  s.row_in_mass.push_back(0.0);
 
-  // Reuse the neighbor slot (and its buffer) past a Reset; only grow the
-  // spine at the high-water mark.
-  if (local >= neighbors_.size()) neighbors_.emplace_back();
-
-  // Build this node's within-S row and patch existing rows/boundary counts.
-  // Each neighbor's visited status is resolved with ONE index probe and
-  // remembered in scratch_local_ for the delta-S-bar pass below.
+  // Build this node's within-S row and patch existing rows/boundary counts
+  // with ONE index probe per neighbor; an unvisited neighbor joins the
+  // adjacency index (with its probed degree) the first time it is seen.
   uint32_t outside = 0;
-  scratch_local_.clear();
   for (const Neighbor& nb : scratch_) {
     const LocalId j = LocalIndex(nb.id);
-    scratch_local_.push_back(j);
     if (j == kInvalidLocal) {
       ++outside;
+      if (adjacent_index_.Insert(nb.id, AdjacentCount())) {
+        s.adjacent.push_back(nb.id);
+        s.adjacent_degree.push_back(accessor_->WeightedDegree(nb.id));
+      }
       continue;
+    }
+    // Symmetric, loop-free lists guarantee that j counted `global` as
+    // outside and kept a free row slot for it; anything else would wrap
+    // j's outside count or overflow its span.
+    if (j == local || s.outside_count[j] == 0 ||
+        s.row_len[j] == s.span[j + 1] - s.span[j]) {
+      return Status::Corruption("node " + std::to_string(global) +
+                                " lists " + std::to_string(nb.id) +
+                                ", whose list does not name it back");
     }
     if (wi > 0) RowAppend(local, j, nb.weight / wi);
     // Reverse direction: j gains an in-S neighbor.
-    if (weighted_degree_[j] > 0) {
-      RowAppend(j, local, nb.weight / weighted_degree_[j]);
+    if (s.weighted_degree[j] > 0) {
+      RowAppend(j, local, nb.weight / s.weighted_degree[j]);
     }
-    if (--outside_count_[j] == 0) --boundary_count_;
+    if (--s.outside_count[j] == 0) --s.boundary_count;
     if (!in_dirty_[j]) {
       in_dirty_[j] = true;
       dirty_.push_back(j);
@@ -214,47 +207,31 @@ Status LocalGraph::Add(NodeId global) {
   // never be fetched, so no future Add ever decrements it back — the node
   // stays boundary (and the frontier stays clipped) for the whole query.
   if (hidden > 0) ++outside;
-  outside_count_.push_back(outside);
-  if (outside > 0) ++boundary_count_;
-
-  // Maintain delta-S-bar (unvisited nodes adjacent to S) with probed
-  // degrees, feeding MaxOutsideAdjacentDegree. The neighbor list lands in
-  // its slot by swap, leaving the slot's previous buffer as the next fetch
-  // scratch.
-  std::vector<Neighbor>& nbrs = neighbors_[local];
-  nbrs.swap(scratch_);
-  scratch_.clear();
-  for (size_t i = 0; i < nbrs.size(); ++i) {
-    if (scratch_local_[i] != kInvalidLocal) continue;
-    if (ever_adjacent_.Insert(nbrs[i].id, 1)) {
-      outside_degree_heap_.emplace_back(ProbeDegree(nbrs[i].id), nbrs[i].id);
-      std::push_heap(outside_degree_heap_.begin(),
-                     outside_degree_heap_.end());
-    }
-  }
+  s.outside_count.push_back(outside);
+  if (outside > 0) ++s.boundary_count;
 
   // Within-S hop distances: initialize from visited neighbors, then relax
   // decreases through existing rows (new edges can create shortcuts).
   // Query (source) nodes are distance 0.
-  uint32_t d = local < query_count_ ? 0 : kUnreachable;
+  uint32_t d = local < s.query_count ? 0 : kUnreachable;
   {
     const LocalRow row = Row(local);
     for (uint32_t e = 0; e < row.len; ++e) {
-      const uint32_t dj = hop_dist_[row.idx[e]];
+      const uint32_t dj = s.hop_dist[row.idx[e]];
       d = std::min(d, dj == kUnreachable ? kUnreachable : dj + 1);
     }
   }
-  hop_dist_.push_back(d);
+  s.hop_dist.push_back(d);
   relax_scratch_.clear();
   relax_scratch_.push_back(local);
   for (size_t head = 0; head < relax_scratch_.size(); ++head) {
     const LocalId u = relax_scratch_[head];
-    if (hop_dist_[u] == kUnreachable) continue;
+    if (s.hop_dist[u] == kUnreachable) continue;
     const LocalRow row = Row(u);
     for (uint32_t e = 0; e < row.len; ++e) {
       const LocalId j = row.idx[e];
-      if (hop_dist_[u] + 1 < hop_dist_[j]) {
-        hop_dist_[j] = hop_dist_[u] + 1;
+      if (s.hop_dist[u] + 1 < s.hop_dist[j]) {
+        s.hop_dist[j] = s.hop_dist[u] + 1;
         relax_scratch_.push_back(j);
       }
     }
@@ -262,33 +239,10 @@ Status LocalGraph::Add(NodeId global) {
   return Status::OK();
 }
 
-double LocalGraph::MaxOutsideAdjacentDegree() {
-  // Amortized wholesale drain: once the visited set has doubled since the
-  // last compaction, filter out every entry whose node has been visited.
-  // Each visit is charged O(1), so long (e.g. multi-source) queries don't
-  // retain stale entries indefinitely.
-  if (outside_degree_heap_.size() > 64 && Size() >= 2 * heap_compact_size_) {
-    std::erase_if(outside_degree_heap_,
-                  [&](const std::pair<double, NodeId>& e) {
-                    return Contains(e.second);
-                  });
-    std::make_heap(outside_degree_heap_.begin(), outside_degree_heap_.end());
-    heap_compact_size_ = Size();
-  }
-  while (!outside_degree_heap_.empty()) {
-    if (!Contains(outside_degree_heap_.front().second)) {
-      return outside_degree_heap_.front().first;
-    }
-    std::pop_heap(outside_degree_heap_.begin(), outside_degree_heap_.end());
-    outside_degree_heap_.pop_back();
-  }
-  return 0;
-}
-
 uint32_t LocalGraph::UnvisitedHopLowerBound() const {
   uint32_t best = kUnreachable;
   for (LocalId i = 0; i < Size(); ++i) {
-    if (outside_count_[i] > 0) best = std::min(best, hop_dist_[i]);
+    if (state_.outside_count[i] > 0) best = std::min(best, state_.hop_dist[i]);
   }
   return best == kUnreachable ? kUnreachable : best + 1;
 }
@@ -297,12 +251,12 @@ Result<uint32_t> LocalGraph::Expand(LocalId u) {
   if (u >= Size()) {
     return Status::OutOfRange("local id out of range in Expand");
   }
-  // Snapshot the unvisited neighbor ids first: Add() grows neighbors_, so
-  // iterating the list while adding would be unsafe. Accessor neighbor
+  // Snapshot the unvisited neighbor ids first: Add() grows the arena, so
+  // iterating the span while adding would be unsafe. Accessor neighbor
   // lists are sorted and duplicate-free, and Add(v) adds exactly v, so no
   // re-check is needed in the second loop — one index probe per neighbor.
   expand_scratch_.clear();
-  for (const Neighbor& nb : neighbors_[u]) {
+  for (const Neighbor& nb : Neighbors(u)) {
     if (LocalIndex(nb.id) == kInvalidLocal) expand_scratch_.push_back(nb.id);
   }
   for (const NodeId v : expand_scratch_) {
@@ -322,86 +276,31 @@ const std::vector<LocalId>& LocalGraph::TakeDirtyNodes() {
 }
 
 double LocalGraph::ProbeDegree(NodeId global) {
-  if (const double* cached = degree_cache_.Find(global)) return *cached;
-  const double w = accessor_->WeightedDegree(global);
-  degree_cache_.Insert(global, w);
-  return w;
+  if (const uint32_t* k = adjacent_index_.Find(global)) {
+    return state_.adjacent_degree[*k];
+  }
+  if (const LocalId local = LocalIndex(global); local != kInvalidLocal) {
+    return state_.weighted_degree[local];
+  }
+  return accessor_->WeightedDegree(global);
 }
 
 void LocalGraph::SaveSnapshot(LocalGraphSnapshot* out) const {
-  FLOS_CHECK(query_ != kInvalidNode, "SaveSnapshot needs an Init'd graph");
-  const uint32_t n = Size();
-  out->query = query_;
-  out->query_count = query_count_;
-  out->local_to_global = local_to_global_;
-  out->weighted_degree = weighted_degree_;
-  out->hidden_mass = hidden_mass_;
-  out->truncated_seen = truncated_seen_;
-  out->outside_count = outside_count_;
-  out->boundary_count = boundary_count_;
-  // Only the first n neighbor slots are live; slots past the high-water
-  // mark belong to earlier queries.
-  out->neighbors.assign(neighbors_.begin(), neighbors_.begin() + n);
-  // Only the used arena prefix: slab capacities never extend past the bump
-  // pointer (AuditBookkeeping checks exactly this).
-  out->arena_idx.assign(arena_idx_.begin(), arena_idx_.begin() + arena_used_);
-  out->arena_weight.assign(arena_weight_.begin(),
-                           arena_weight_.begin() + arena_used_);
-  out->arena_used = arena_used_;
-  out->row_start = row_start_;
-  out->row_len = row_len_;
-  out->row_cap = row_cap_;
-  out->row_in_mass = row_in_mass_;
-  out->hop_dist = hop_dist_;
-  out->outside_degree_heap = outside_degree_heap_;
-  out->heap_compact_size = heap_compact_size_;
+  FLOS_CHECK(state_.query != kInvalidNode,
+             "SaveSnapshot needs an Init'd graph");
+  *out = state_;
 }
 
 void LocalGraph::RestoreSnapshot(const LocalGraphSnapshot& snap) {
-  FLOS_CHECK(query_ == kInvalidNode,
+  FLOS_CHECK(state_.query == kInvalidNode,
              "RestoreSnapshot requires the pre-Init state (call Reset)");
-  const uint32_t n = snap.Size();
-  query_ = snap.query;
-  query_count_ = snap.query_count;
-  local_to_global_ = snap.local_to_global;
-  weighted_degree_ = snap.weighted_degree;
-  hidden_mass_ = snap.hidden_mass;
-  truncated_seen_ = snap.truncated_seen;
-  outside_count_ = snap.outside_count;
-  boundary_count_ = snap.boundary_count;
-  // Copy the live neighbor lists slot by slot so slots keep their reusable
-  // buffers; slots past n stay as high-water scratch.
-  if (neighbors_.size() < n) neighbors_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) neighbors_[i] = snap.neighbors[i];
-  if (arena_idx_.size() < snap.arena_used) {
-    arena_idx_.resize(snap.arena_used);
-    arena_weight_.resize(snap.arena_used);
-  }
-  std::copy_n(snap.arena_idx.begin(), snap.arena_used, arena_idx_.begin());
-  std::copy_n(snap.arena_weight.begin(), snap.arena_used,
-              arena_weight_.begin());
-  arena_used_ = snap.arena_used;
-  row_start_ = snap.row_start;
-  row_len_ = snap.row_len;
-  row_cap_ = snap.row_cap;
-  row_in_mass_ = snap.row_in_mass;
-  hop_dist_ = snap.hop_dist;
-  outside_degree_heap_ = snap.outside_degree_heap;
-  heap_compact_size_ = snap.heap_compact_size;
-  // Rebuild the epoch-keyed indexes. Visit order reproduces the dense
-  // local ids; the degree cache is primed from known degrees (anything
-  // else re-probes the accessor on demand); the ever-adjacent set is
-  // rebuilt from the heap, which covers every unvisited ever-adjacent
-  // node — pushes happen exactly on first adjacency and compaction only
-  // drops visited entries (visited members only matter through
-  // IsOutsideAdjacent, which excludes them anyway).
+  state_ = snap;
+  const uint32_t n = Size();
   for (LocalId i = 0; i < n; ++i) {
-    global_to_local_.Insert(local_to_global_[i], i);
-    degree_cache_.Insert(local_to_global_[i], weighted_degree_[i]);
+    global_to_local_.Insert(state_.local_to_global[i], i);
   }
-  for (const auto& [degree, node] : outside_degree_heap_) {
-    ever_adjacent_.Insert(node, 1);
-    degree_cache_.Insert(node, degree);
+  for (uint32_t k = 0; k < AdjacentCount(); ++k) {
+    adjacent_index_.Insert(state_.adjacent[k], k);
   }
   // Every node dirty: the consuming bound engine recomputes all boundary
   // coefficients on its next refresh instead of trusting any prior state.

@@ -10,28 +10,26 @@
 // GraphAccessor; the number of fetches equals |S|, matching the paper's
 // "number of visited nodes".
 //
-// Within-S rows live in a FLAT LOCAL CSR in structure-of-arrays form: one
-// arena of `LocalId` column indices and one parallel arena of `double`
-// transition weights, with per-row (start, length, capacity) spines. Rows
-// grow in place through power-of-two slabs carved off the arena tail: a row
-// that outgrows its slab moves once to a slab of twice the size, so the
-// total copy work per row is O(final row length) and a full bound sweep
-// touches two dense arrays instead of one heap-allocated AoS vector per
-// node. The bound kernels (core/sweep_kernel.h) stream these arrays
-// directly.
+// Adjacency lives in a FLAT, APPEND-ONLY ARENA. When a node joins S it gets
+// one exact-size span: its fetched neighbor list, and at the same offsets
+// in two parallel structure-of-arrays (`LocalId` column indices, `double`
+// transition weights) its within-S row. Rows fill their spans in append
+// order and never move, and a full bound sweep streams two dense arrays
+// instead of one heap-allocated vector per node. The bound kernels
+// (core/sweep_kernel.h) read these arrays directly.
 //
 // Reuse: a LocalGraph is a per-worker workspace, not a per-query object.
 // Reset() returns it to the pre-Init state in O(|S|) without releasing any
 // storage — the node-keyed indexes are epoch-versioned (core/node_index.h)
-// and the row arena keeps its capacity with the bump pointer rewound — so
-// steady-state queries perform no allocation and no hashing on the hot
-// membership checks when the accessor advertises DenseIndexHint().
+// and every per-query vector keeps its capacity — so steady-state queries
+// perform no allocation and no hashing on the hot membership checks when
+// the accessor advertises DenseIndexHint().
 
 #ifndef FLOS_CORE_LOCAL_GRAPH_H_
 #define FLOS_CORE_LOCAL_GRAPH_H_
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/node_index.h"
@@ -58,39 +56,54 @@ struct LocalRow {
   uint32_t size() const { return len; }
 };
 
-/// Deep, self-contained copy of a LocalGraph's per-query state, for the
-/// warm-subgraph cache (core/subgraph_cache.h). Holds everything a resumed
-/// query needs that cannot be rebuilt locally: the visited set in visit
-/// order, the compacted local CSR (used arena prefix + spines), neighbor
-/// lists, boundary/hidden-mass bookkeeping, hop distances, and the
-/// delta-S-bar degree heap. The epoch-keyed node indexes
-/// (global_to_local, degree cache, ever-adjacent set) are NOT stored —
-/// RestoreSnapshot rebuilds them from the visit order and the heap, which
-/// provably covers every unvisited ever-adjacent node (heap entries are
-/// pushed exactly when a node first becomes adjacent and compaction only
-/// drops visited ones).
+/// The whole per-query state of a LocalGraph in one copyable struct. The
+/// live workspace holds one, and the warm-subgraph cache
+/// (core/subgraph_cache.h) stores a copy: SaveSnapshot is one assignment,
+/// RestoreSnapshot one assignment plus rebuilding the two node-keyed
+/// indexes (visited set and adjacency index) from `local_to_global` and
+/// `adjacent`, with no accessor call.
+///
+/// Adjacency lives in one flat, append-only arena. Visited node i owns the
+/// exact-size span [span[i], span[i+1]): `neighbors` holds its fetched list
+/// there, and the parallel `row_idx`/`row_weight` arrays hold its within-S
+/// row (local ids and transition probabilities) in the first row_len[i]
+/// slots of the same span. Adjacency is symmetric, so a row never outgrows
+/// its node's fetched degree.
 struct LocalGraphSnapshot {
   NodeId query = kInvalidNode;
   uint32_t query_count = 0;
+  bool truncated_seen = false;    ///< any visited row had hidden mass
+  uint32_t boundary_count = 0;    ///< # nodes with outside_count > 0
+  // Per visited node, indexed by LocalId (visit order).
   std::vector<NodeId> local_to_global;
   std::vector<double> weighted_degree;
+  /// Per-node hidden (non-enumerable) edge mass; see HiddenMass(). A node
+  /// with hidden mass carries a phantom +1 in outside_count that is never
+  /// decremented: its hidden neighbors can never be visited through this
+  /// accessor, so it stays boundary — and the query stays uncertifiable —
+  /// forever.
   std::vector<double> hidden_mass;
-  bool truncated_seen = false;
   std::vector<uint32_t> outside_count;
-  uint32_t boundary_count = 0;
-  std::vector<std::vector<Neighbor>> neighbors;
-  std::vector<LocalId> arena_idx;
-  std::vector<double> arena_weight;
-  uint32_t arena_used = 0;
-  std::vector<uint32_t> row_start;
-  std::vector<uint32_t> row_len;
-  std::vector<uint32_t> row_cap;
-  std::vector<double> row_in_mass;
   std::vector<uint32_t> hop_dist;
-  std::vector<std::pair<double, NodeId>> outside_degree_heap;
-  uint32_t heap_compact_size = 0;
+  std::vector<uint32_t> row_len;
+  std::vector<double> row_in_mass;
+  /// Span offsets into the arena; Size() + 1 entries, span[0] == 0.
+  std::vector<uint64_t> span = {0};
+  // The arena: span[Size()] entries each.
+  std::vector<Neighbor> neighbors;
+  std::vector<LocalId> row_idx;
+  std::vector<double> row_weight;
+  /// Every node that was EVER adjacent to S this query, in order of first
+  /// adjacency (its adjacency id), with its probed weighted degree. A
+  /// superset of delta-S-bar: membership in the current delta-S-bar
+  /// additionally requires being unvisited (see IsOutsideAdjacent).
+  std::vector<NodeId> adjacent;
+  std::vector<double> adjacent_degree;
 
   uint32_t Size() const { return static_cast<uint32_t>(local_to_global.size()); }
+
+  /// Returns to the empty pre-Init state, keeping every buffer's capacity.
+  void Clear();
 };
 
 /// The visited subgraph S with its boundary bookkeeping.
@@ -122,7 +135,7 @@ class LocalGraph {
   Result<uint32_t> Expand(LocalId u);
 
   /// Number of visited nodes |S|.
-  uint32_t Size() const { return static_cast<uint32_t>(local_to_global_.size()); }
+  uint32_t Size() const { return state_.Size(); }
 
   /// True iff `global` is visited.
   bool Contains(NodeId global) const {
@@ -136,48 +149,54 @@ class LocalGraph {
     return local == nullptr ? kInvalidLocal : *local;
   }
 
-  NodeId GlobalId(LocalId local) const { return local_to_global_[local]; }
+  NodeId GlobalId(LocalId local) const { return state_.local_to_global[local]; }
 
   /// Weighted degree w_i (over ALL neighbors, visited or not).
-  double WeightedDegree(LocalId local) const { return weighted_degree_[local]; }
+  double WeightedDegree(LocalId local) const {
+    return state_.weighted_degree[local];
+  }
 
   /// Number of i's neighbors currently outside S. 0 means interior.
-  uint32_t OutsideCount(LocalId local) const { return outside_count_[local]; }
+  uint32_t OutsideCount(LocalId local) const {
+    return state_.outside_count[local];
+  }
 
   /// True iff i is in the boundary delta-S.
-  bool IsBoundary(LocalId local) const { return outside_count_[local] > 0; }
+  bool IsBoundary(LocalId local) const {
+    return state_.outside_count[local] > 0;
+  }
 
   /// Number of boundary nodes |delta-S| (maintained, O(1)).
-  uint32_t BoundaryCount() const { return boundary_count_; }
+  uint32_t BoundaryCount() const { return state_.boundary_count; }
 
   /// True iff no visited node has an unvisited neighbor (the query's whole
   /// component has been visited). O(1): the boundary-node count is
   /// maintained where outside counts change.
-  bool Exhausted() const { return boundary_count_ == 0; }
+  bool Exhausted() const { return state_.boundary_count == 0; }
 
   /// Within-S transition row of node i: visited neighbors j with
-  /// p_ij = w_ij / w_i (FULL weighted degree), as an SoA view into the
-  /// flat local CSR.
+  /// p_ij = w_ij / w_i (FULL weighted degree), as an SoA view into i's
+  /// arena span.
   LocalRow Row(LocalId local) const {
     FLOS_DCHECK(local < Size(), "Row: local id out of range");
-    const uint32_t start = row_start_[local];
-    return {arena_idx_.data() + start, arena_weight_.data() + start,
-            row_len_[local]};
+    const uint64_t start = state_.span[local];
+    return {state_.row_idx.data() + start, state_.row_weight.data() + start,
+            state_.row_len[local]};
   }
 
-  /// Issues software prefetches for row i's index and weight slabs. The
-  /// bound sweeps call this one row ahead so the slab is in cache by the
+  /// Issues software prefetches for row i's index and weight arrays. The
+  /// bound sweeps call this one row ahead so the row is in cache by the
   /// time the scan reaches it.
   void PrefetchRow(LocalId local) const {
-    const uint32_t start = row_start_[local];
-    __builtin_prefetch(arena_idx_.data() + start, 0, 1);
-    __builtin_prefetch(arena_weight_.data() + start, 0, 1);
+    const uint64_t start = state_.span[local];
+    __builtin_prefetch(state_.row_idx.data() + start, 0, 1);
+    __builtin_prefetch(state_.row_weight.data() + start, 0, 1);
   }
 
   /// Sum of row i's transition probabilities (the in-S mass
   /// sum_{j in S} p_ij), maintained incrementally as entries are appended.
   /// Bitwise equal to summing Row(i) in order.
-  double RowInMass(LocalId local) const { return row_in_mass_[local]; }
+  double RowInMass(LocalId local) const { return state_.row_in_mass[local]; }
 
   /// Weighted-degree mass of node i's edges the accessor cannot enumerate
   /// (a ShardAccessor's truncated fringe rows): WeightedDegree(i) minus the
@@ -186,22 +205,46 @@ class LocalGraph {
   /// HiddenMass(i) / WeightedDegree(i) leaves S through edges no fetched
   /// list ever reports; the bound engines must treat it as permanently
   /// outside mass routed to the dummy node.
-  double HiddenMass(LocalId local) const { return hidden_mass_[local]; }
+  double HiddenMass(LocalId local) const { return state_.hidden_mass[local]; }
 
   /// True once any visited row had hidden mass. Bound refinements that
   /// assume complete neighbor enumeration must degrade conservatively when
   /// this is set.
-  bool HasTruncatedRows() const { return truncated_seen_; }
+  bool HasTruncatedRows() const { return state_.truncated_seen; }
 
-  /// Full neighbor list of visited node i (global ids), as fetched.
-  const std::vector<Neighbor>& Neighbors(LocalId local) const {
-    return neighbors_[local];
+  /// Full neighbor list of visited node i (global ids), as fetched. Valid
+  /// until the next Expand/Init/Reset call.
+  std::span<const Neighbor> Neighbors(LocalId local) const {
+    const uint64_t start = state_.span[local];
+    return {state_.neighbors.data() + start,
+            static_cast<size_t>(state_.span[local + 1] - start)};
   }
 
-  /// Weighted degree of an arbitrary (possibly unvisited) node, cached so
-  /// repeated probes of the same node cost one accessor call. Used by the
+  /// Weighted degree of an arbitrary (possibly unvisited) node. Visited
+  /// nodes and nodes adjacent to S answer from the workspace without an
+  /// accessor call (adjacent degrees are probed once, at first adjacency);
+  /// any other node costs one uncached accessor call. Used by the
   /// self-loop tightening, which needs degrees of unvisited boundary nodes.
   double ProbeDegree(NodeId global);
+
+  /// Number of nodes ever adjacent to S this query; adjacency ids run
+  /// 0..AdjacentCount()-1 in order of first adjacency.
+  uint32_t AdjacentCount() const {
+    return static_cast<uint32_t>(state_.adjacent.size());
+  }
+
+  /// Adjacency id of `global`, or kInvalidLocal if it was never adjacent
+  /// to S. Every unvisited neighbor of a visited node has one.
+  uint32_t AdjacentIndex(NodeId global) const {
+    const uint32_t* k = adjacent_index_.Find(global);
+    return k == nullptr ? kInvalidLocal : *k;
+  }
+
+  NodeId AdjacentNode(uint32_t k) const { return state_.adjacent[k]; }
+
+  /// Weighted degree of the node with adjacency id k, probed when it first
+  /// became adjacent.
+  double AdjacentDegree(uint32_t k) const { return state_.adjacent_degree[k]; }
 
   /// Nodes whose outside-neighbor set changed since the last call (newly
   /// added nodes and their visited neighbors), deduplicated. The bound
@@ -213,7 +256,7 @@ class LocalGraph {
   /// Hop distance from the query to `local` along paths WITHIN S
   /// (maintained incrementally with decrease-relaxation, so it equals the
   /// true within-S shortest hop count).
-  uint32_t HopDistance(LocalId local) const { return hop_dist_[local]; }
+  uint32_t HopDistance(LocalId local) const { return state_.hop_dist[local]; }
 
   /// A certified lower bound on the hop distance of every UNVISITED node:
   /// 1 + min over boundary nodes of HopDistance. Any path from q must cross
@@ -223,27 +266,22 @@ class LocalGraph {
 
   /// True iff `global` is unvisited but adjacent to S (in delta-S-bar).
   bool IsOutsideAdjacent(NodeId global) const {
-    return ever_adjacent_.Contains(global) && !Contains(global);
+    return adjacent_index_.Contains(global) && !Contains(global);
   }
-
-  /// Largest weighted degree among the unvisited nodes adjacent to S
-  /// (delta-S-bar); 0 if none. Degrees are known from probes. Used by the
-  /// FLoS_RWR termination test (Section 5.6 refinement).
-  double MaxOutsideAdjacentDegree();
 
   GraphAccessor* accessor() { return accessor_; }
 
   /// First (or only) query node.
-  NodeId query() const { return query_; }
+  NodeId query() const { return state_.query; }
 
   /// Number of query (source) nodes; their local ids are 0..count-1.
-  uint32_t query_count() const { return query_count_; }
+  uint32_t query_count() const { return state_.query_count; }
 
   /// True iff `local` is one of the query nodes (they are added first, so
   /// this is an index comparison).
-  bool IsQueryLocal(LocalId local) const { return local < query_count_; }
+  bool IsQueryLocal(LocalId local) const { return local < state_.query_count; }
 
-  /// Deep-copies this query's state into `out` (see LocalGraphSnapshot).
+  /// Copies this query's state into `out` (see LocalGraphSnapshot).
   /// Must be Init'd. The snapshot is independent of this workspace and
   /// stays valid across Reset.
   void SaveSnapshot(LocalGraphSnapshot* out) const;
@@ -256,6 +294,9 @@ class LocalGraph {
   void RestoreSnapshot(const LocalGraphSnapshot& snap);
 
  private:
+  /// Fetches `global`'s list into a new span and joins it to S. Returns
+  /// Corruption when a visited neighbor's list does not name `global`
+  /// (asymmetric adjacency would overflow that neighbor's span).
   Status Add(NodeId global);
 
   /// Audit tier: recomputes the maintained bookkeeping — per-node outside
@@ -265,60 +306,20 @@ class LocalGraph {
   /// O(edges(S)); called from Init/Expand under FLOS_AUDIT_SCOPE only.
   void AuditBookkeeping() const;
 
-  /// Appends entry (j, p) to row i, growing its slab if full.
+  /// Appends entry (j, p) to row i. The caller guarantees a free slot.
   void RowAppend(LocalId i, LocalId j, double p);
 
-  /// Moves row i to a fresh power-of-two slab of at least `min_cap`
-  /// entries at the arena tail, copying its current entries.
-  void GrowRow(LocalId i, uint32_t min_cap);
-
   GraphAccessor* accessor_;
-  NodeId query_ = kInvalidNode;
-  uint32_t query_count_ = 0;
+  LocalGraphSnapshot state_;
   NodeMap<LocalId> global_to_local_;
-  std::vector<NodeId> local_to_global_;
-  std::vector<double> weighted_degree_;
-  /// Per-node hidden (non-enumerable) edge mass; see HiddenMass(). A node
-  /// with hidden mass carries a phantom +1 in outside_count_ that is never
-  /// decremented: its hidden neighbors can never be visited through this
-  /// accessor, so it stays boundary — and the query stays uncertifiable —
-  /// forever.
-  std::vector<double> hidden_mass_;
-  bool truncated_seen_ = false;  ///< any visited row had hidden mass
-  std::vector<uint32_t> outside_count_;
-  uint32_t boundary_count_ = 0;  ///< # nodes with outside_count_ > 0
-  std::vector<std::vector<Neighbor>> neighbors_;
-
-  // Flat local CSR (SoA): per-row slabs inside two parallel arenas. The
-  // arena vectors only ever grow; `arena_used_` is the bump pointer, and
-  // Reset() rewinds it without releasing capacity.
-  std::vector<LocalId> arena_idx_;
-  std::vector<double> arena_weight_;
-  uint32_t arena_used_ = 0;
-  std::vector<uint32_t> row_start_;
-  std::vector<uint32_t> row_len_;
-  std::vector<uint32_t> row_cap_;
-  std::vector<double> row_in_mass_;
-
-  NodeMap<double> degree_cache_;
-  std::vector<Neighbor> scratch_;
-  std::vector<LocalId> scratch_local_;   // visited-status cache in Add
+  /// NodeId -> adjacency id (index into state_.adjacent).
+  NodeMap<uint32_t> adjacent_index_;
+  std::vector<Neighbor> scratch_;        // fetch buffer in Add
   std::vector<NodeId> expand_scratch_;   // unvisited neighbors in Expand
   std::vector<LocalId> relax_scratch_;   // hop-distance relaxation queue
   std::vector<LocalId> dirty_;
   std::vector<LocalId> dirty_out_;
   std::vector<bool> in_dirty_;
-  std::vector<uint32_t> hop_dist_;
-  /// Nodes that were EVER adjacent to S this query (a superset of
-  /// delta-S-bar: epoch maps do not erase, so membership in the current
-  /// delta-S-bar additionally requires being unvisited — see
-  /// IsOutsideAdjacent).
-  NodeMap<uint8_t> ever_adjacent_;
-  /// Lazy max-heap over delta-S-bar degrees; entries whose node has since
-  /// been visited are skipped on pop and drained wholesale once the
-  /// visited set doubles, so long queries don't accumulate stale entries.
-  std::vector<std::pair<double, NodeId>> outside_degree_heap_;
-  uint32_t heap_compact_size_ = 0;  ///< |S| at the last heap compaction
 };
 
 }  // namespace flos

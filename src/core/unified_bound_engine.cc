@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <utility>
 
 #include "core/sweep_kernel.h"
 #include "util/check.h"
@@ -163,18 +161,22 @@ void UnifiedBoundEngine::AuditNoLooserThanJacobi(
 UnifiedBoundEngine::OutsideUppers UnifiedBoundEngine::ComputeOutsideUppers() {
   // Accumulate, per unvisited frontier node v, the in-S transition mass
   // and its upper-bound-weighted sum, by walking the boundary's outside
-  // edges. p_vu = w_uv / w_v with w_v from the degree probe cache.
-  std::unordered_map<NodeId, std::pair<double, double>> acc;  // mass, sum
+  // edges. p_vu = w_uv / w_v with w_v probed at v's first adjacency; the
+  // accumulators are indexed by v's adjacency id.
+  const uint32_t adjacent = local_->AdjacentCount();
+  outside_mass_.assign(adjacent, 0.0);
+  outside_sum_.assign(adjacent, 0.0);
   for (LocalId u = 0; u < local_->Size(); ++u) {
     if (!local_->IsBoundary(u)) continue;
     const double ru = local_->IsQueryLocal(u) ? 1.0 : upper(u);
     for (const Neighbor& nb : local_->Neighbors(u)) {
       if (local_->Contains(nb.id)) continue;
-      const double wv = local_->ProbeDegree(nb.id);
+      const uint32_t k = local_->AdjacentIndex(nb.id);
+      FLOS_DCHECK(k != kInvalidLocal, "unvisited neighbor has no adjacency id");
+      const double wv = local_->AdjacentDegree(k);
       if (wv <= 0) continue;
-      auto& [mass, sum] = acc[nb.id];
-      mass += nb.weight / wv;
-      sum += nb.weight / wv * ru;
+      outside_mass_[k] += nb.weight / wv;
+      outside_sum_[k] += nb.weight / wv * ru;
     }
   }
   OutsideUppers out;
@@ -187,12 +189,16 @@ UnifiedBoundEngine::OutsideUppers UnifiedBoundEngine::ComputeOutsideUppers() {
   // forever, so dummy_mesh_ dominates it by its capture rule).
   const double residual_dummy =
       local_->HasTruncatedRows() ? dummy_mesh_ : dummy_tight_;
-  for (const auto& [v, ms] : acc) {
-    const double residual = std::max(0.0, 1.0 - ms.first);
-    const double bound = alpha * (ms.second + residual * residual_dummy);
+  // The scan above reached exactly the unvisited adjacent nodes: each one
+  // is listed by a visited node, which is therefore boundary.
+  for (uint32_t k = 0; k < adjacent; ++k) {
+    const double wv = local_->AdjacentDegree(k);
+    if (wv <= 0 || local_->Contains(local_->AdjacentNode(k))) continue;
+    const double residual = std::max(0.0, 1.0 - outside_mass_[k]);
+    const double bound =
+        alpha * (outside_sum_[k] + residual * residual_dummy);
     out.max_value = std::max(out.max_value, bound);
-    out.max_degree_weighted =
-        std::max(out.max_degree_weighted, local_->ProbeDegree(v) * bound);
+    out.max_degree_weighted = std::max(out.max_degree_weighted, wv * bound);
     out.any = true;
   }
   return out;

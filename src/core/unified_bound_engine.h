@@ -254,6 +254,9 @@ class UnifiedBoundEngine {
   std::vector<double> work_hi_;
   std::vector<double> next_lo_;
   std::vector<double> next_hi_;
+  /// ComputeOutsideUppers accumulators, indexed by adjacency id.
+  std::vector<double> outside_mass_;
+  std::vector<double> outside_sum_;
   double dummy_mesh_ = 1.0;   ///< >= unvisited AND visited-boundary values
   double dummy_tight_ = 1.0;  ///< >= unvisited values only
   bool deadline_hit_ = false; ///< last solve stopped on the deadline

@@ -64,8 +64,18 @@ Result<std::unique_ptr<DiskGraph>> DiskGraph::Open(
   if (pos != g->adjacency_offset_) {
     return Status::Corruption("adjacency offset mismatch in " + path);
   }
-  if (g->offsets_.back() != g->num_directed_edges_) {
-    return Status::Corruption("edge count mismatch in " + path);
+  // Every adjacency read trusts these tables: offsets must run
+  // non-decreasing from 0 to the edge count, and the degree order may only
+  // name existing nodes.
+  if (g->offsets_.front() != 0 ||
+      g->offsets_.back() != g->num_directed_edges_ ||
+      !std::is_sorted(g->offsets_.begin(), g->offsets_.end())) {
+    return Status::Corruption("bad adjacency offsets in " + path);
+  }
+  if (std::any_of(g->degree_order_.begin(), g->degree_order_.end(),
+                  [n](NodeId id) { return id >= n; })) {
+    return Status::Corruption("degree order names a missing node in " +
+                              path);
   }
   return g;
 }
@@ -143,6 +153,10 @@ Status DiskGraph::CopyNeighbors(NodeId u, std::vector<Neighbor>* out) {
     Neighbor nb;
     std::memcpy(&nb.id, entry, sizeof(uint32_t));
     std::memcpy(&nb.weight, entry + sizeof(uint32_t), sizeof(double));
+    if (nb.id >= num_nodes_) {
+      return Status::Corruption("adjacency of node " + std::to_string(u) +
+                                " names a missing node");
+    }
     out->push_back(nb);
   }
   return Status::OK();

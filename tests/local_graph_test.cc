@@ -156,10 +156,10 @@ TEST(LocalGraphTest, RowInMassMatchesRowScan) {
   }
 }
 
-TEST(LocalGraphTest, RowsSurviveSlabGrowthAndReset) {
-  // A star center's row grows far past the minimum slab; every entry must
-  // survive the copies, and a Reset+reinit must rebuild cleanly on the
-  // kept arena.
+TEST(LocalGraphTest, StarCenterRowFillsItsSpanAcrossResets) {
+  // A star center joins S before its leaves, so its whole row arrives by
+  // reverse appends and must fill its span exactly; a Reset+reinit must
+  // rebuild cleanly on the kept arena.
   GraphBuilder builder;
   const int kLeaves = 70;
   for (int i = 1; i <= kLeaves; ++i) {
@@ -176,6 +176,7 @@ TEST(LocalGraphTest, RowsSurviveSlabGrowthAndReset) {
     ASSERT_EQ(local.Size(), static_cast<uint32_t>(kLeaves + 1));
     const LocalRow row = local.Row(center);
     ASSERT_EQ(row.size(), static_cast<uint32_t>(kLeaves));
+    ASSERT_EQ(local.Neighbors(center).size(), static_cast<size_t>(kLeaves));
     double sum = 0;
     for (uint32_t e = 0; e < row.len; ++e) {
       EXPECT_DOUBLE_EQ(row.weight[e], 1.0 / kLeaves);
@@ -193,13 +194,146 @@ TEST(LocalGraphTest, ProbeDegreeCaches) {
   LocalGraph local(&accessor);
   FLOS_ASSERT_OK(local.Init(0));
   const uint64_t before = accessor.stats().degree_probes;
-  EXPECT_DOUBLE_EQ(local.ProbeDegree(7), 3.0);  // paper node 8
-  EXPECT_DOUBLE_EQ(local.ProbeDegree(7), 3.0);
-  EXPECT_EQ(accessor.stats().degree_probes, before + 1)
-      << "second probe must hit the cache";
-  // Visited nodes are already cached from their fetch.
+  // The Add that made paper node 2 adjacent probed its degree once.
+  EXPECT_DOUBLE_EQ(local.ProbeDegree(1), 2.0);
+  EXPECT_DOUBLE_EQ(local.ProbeDegree(1), 2.0);
+  // Visited nodes answer from their fetch.
   EXPECT_DOUBLE_EQ(local.ProbeDegree(0), 2.0);
+  EXPECT_EQ(accessor.stats().degree_probes, before)
+      << "visited and adjacent nodes must not reach the accessor";
+  // A node not adjacent to S costs one uncached accessor call per probe.
+  EXPECT_DOUBLE_EQ(local.ProbeDegree(7), 3.0);  // paper node 8
   EXPECT_EQ(accessor.stats().degree_probes, before + 1);
+}
+
+// Expands the first boundary node `steps` times.
+void ExpandFirstBoundary(LocalGraph* local, int steps) {
+  for (int step = 0; step < steps && !local->Exhausted(); ++step) {
+    for (LocalId i = 0; i < local->Size(); ++i) {
+      if (local->IsBoundary(i)) {
+        FLOS_ASSERT_OK(local->Expand(i).status());
+        break;
+      }
+    }
+  }
+}
+
+// Asserts that two workspaces hold the same state, node by node. Probing
+// a visited or adjacent node's degree must not reach the accessor.
+void ExpectSameState(LocalGraph* a, LocalGraph* b, const Graph& g,
+                     const GraphAccessor& accessor) {
+  ASSERT_EQ(a->Size(), b->Size());
+  EXPECT_EQ(a->BoundaryCount(), b->BoundaryCount());
+  EXPECT_EQ(a->UnvisitedHopLowerBound(), b->UnvisitedHopLowerBound());
+  for (LocalId i = 0; i < a->Size(); ++i) {
+    EXPECT_EQ(a->GlobalId(i), b->GlobalId(i));
+    EXPECT_EQ(a->OutsideCount(i), b->OutsideCount(i));
+    EXPECT_EQ(a->HopDistance(i), b->HopDistance(i));
+    EXPECT_EQ(a->RowInMass(i), b->RowInMass(i));
+    const LocalRow ra = a->Row(i);
+    const LocalRow rb = b->Row(i);
+    ASSERT_EQ(ra.len, rb.len);
+    for (uint32_t e = 0; e < ra.len; ++e) {
+      EXPECT_EQ(ra.idx[e], rb.idx[e]);
+      EXPECT_EQ(ra.weight[e], rb.weight[e]);
+    }
+    const auto na = a->Neighbors(i);
+    const auto nb = b->Neighbors(i);
+    ASSERT_EQ(na.size(), nb.size());
+    for (size_t e = 0; e < na.size(); ++e) {
+      EXPECT_EQ(na[e].id, nb[e].id);
+      EXPECT_EQ(na[e].weight, nb[e].weight);
+    }
+  }
+  const uint64_t probes = accessor.stats().degree_probes;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    ASSERT_EQ(a->Contains(v), b->Contains(v)) << "node " << v;
+    ASSERT_EQ(a->IsOutsideAdjacent(v), b->IsOutsideAdjacent(v))
+        << "node " << v;
+    if (a->Contains(v) || a->IsOutsideAdjacent(v)) {
+      EXPECT_EQ(a->ProbeDegree(v), b->ProbeDegree(v)) << "node " << v;
+    }
+  }
+  EXPECT_EQ(accessor.stats().degree_probes, probes);
+}
+
+TEST(LocalGraphTest, SnapshotRoundTripsIntoAFreshWorkspace) {
+  const Graph g = RandomConnectedGraph(200, 600, 7);
+  InMemoryAccessor accessor(&g);
+  LocalGraph original(&accessor);
+  FLOS_ASSERT_OK(original.Init(5));
+  ExpandFirstBoundary(&original, 6);
+  LocalGraphSnapshot snap;
+  original.SaveSnapshot(&snap);
+
+  LocalGraph restored(&accessor);
+  const AccessStats before = accessor.stats();
+  restored.RestoreSnapshot(snap);
+  EXPECT_EQ(accessor.stats().neighbor_fetches, before.neighbor_fetches);
+  EXPECT_EQ(accessor.stats().degree_probes, before.degree_probes);
+  ExpectSameState(&original, &restored, g, accessor);
+
+  // Both continue identically.
+  ExpandFirstBoundary(&original, 4);
+  ExpandFirstBoundary(&restored, 4);
+  ExpectSameState(&original, &restored, g, accessor);
+}
+
+// Drops `omitted` from `from`'s neighbor list, so some other list names
+// `from` while `from`'s list does not name it back.
+class AsymmetricAccessor final : public GraphAccessor {
+ public:
+  AsymmetricAccessor(const Graph* graph, NodeId from, NodeId omitted)
+      : inner_(graph), from_(from), omitted_(omitted) {}
+
+  uint64_t NumNodes() const override { return inner_.NumNodes(); }
+  uint64_t NumEdges() const override { return inner_.NumEdges(); }
+  double WeightedDegree(NodeId u) override {
+    return inner_.WeightedDegree(u);
+  }
+  Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) override {
+    FLOS_RETURN_IF_ERROR(inner_.CopyNeighbors(u, out));
+    if (u == from_) {
+      std::erase_if(*out,
+                    [&](const Neighbor& nb) { return nb.id == omitted_; });
+    }
+    return Status::OK();
+  }
+  const std::vector<NodeId>& DegreeOrder() const override {
+    return inner_.DegreeOrder();
+  }
+  double MaxWeightedDegree() const override {
+    return inner_.MaxWeightedDegree();
+  }
+
+ private:
+  InMemoryAccessor inner_;
+  NodeId from_;
+  NodeId omitted_;
+};
+
+TEST(LocalGraphTest, AsymmetricAdjacencyIsCorruption) {
+  // Triangle 0-1-2 where 0's list omits 2 but 2's list names 0.
+  GraphBuilder builder;
+  builder.AddEdge(0, 1, 1.0);
+  builder.AddEdge(1, 2, 1.0);
+  builder.AddEdge(0, 2, 1.0);
+  const Graph g = ValueOrDie(std::move(builder).Build());
+  {
+    AsymmetricAccessor accessor(&g, 0, 2);
+    LocalGraph local(&accessor);
+    FLOS_ASSERT_OK(local.Init(0));
+    FLOS_ASSERT_OK(local.Expand(0).status());  // adds 1
+    const auto grown = local.Expand(local.LocalIndex(1));  // adds 2
+    ASSERT_FALSE(grown.ok());
+    EXPECT_EQ(grown.status().code(), StatusCode::kCorruption);
+  }
+  {
+    AsymmetricAccessor accessor(&g, 0, 2);
+    LocalGraph local(&accessor);
+    const Status init = local.Init(std::vector<NodeId>{0, 1, 2});
+    EXPECT_EQ(init.code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(LocalGraphTest, RejectsBadIds) {

@@ -263,6 +263,56 @@ TEST(DiskGraphTest, DetectsCorruption) {
   }
   EXPECT_GT(failures, 0) << "the chopped nodes must fail to read";
   std::remove(short_block.c_str());
+
+  // An adjacency id past the node range must read as corruption (and fail
+  // the search) rather than index past every node-keyed array.
+  const std::string bad_id = TempPath("bad_id.flos");
+  FLOS_ASSERT_OK(WriteDiskGraph(er, bad_id));
+  DiskHeader er_header{};
+  f = std::fopen(bad_id.c_str(), "r+b");
+  ASSERT_EQ(std::fread(&er_header, sizeof(er_header), 1, f), 1u);
+  const uint32_t huge_id = 0x7FFFFFF0u;
+  std::fseek(f, static_cast<long>(er_header.adjacency_offset), SEEK_SET);
+  std::fwrite(&huge_id, sizeof(huge_id), 1, f);
+  std::fclose(f);
+  auto bad_id_disk = ValueOrDie(DiskGraph::Open(bad_id, DiskGraphOptions{}));
+  EXPECT_EQ(bad_id_disk->CopyNeighbors(0, &nbs).code(),
+            StatusCode::kCorruption);
+  const auto search = FlosTopK(bad_id_disk.get(), 0, 10, FlosOptions{});
+  ASSERT_FALSE(search.ok());
+  EXPECT_EQ(search.status().code(), StatusCode::kCorruption);
+  std::remove(bad_id.c_str());
+
+  // An offsets table that does not run non-decreasing from 0 to the edge
+  // count is rejected at open.
+  const std::string bad_offsets = TempPath("bad_offsets.flos");
+  FLOS_ASSERT_OK(WriteDiskGraph(er, bad_offsets));
+  f = std::fopen(bad_offsets.c_str(), "r+b");
+  const uint64_t huge_offset = uint64_t{1} << 40;
+  std::fseek(f, static_cast<long>(sizeof(DiskHeader) + sizeof(uint64_t)),
+             SEEK_SET);
+  std::fwrite(&huge_offset, sizeof(huge_offset), 1, f);
+  std::fclose(f);
+  const auto r2 = DiskGraph::Open(bad_offsets, DiskGraphOptions{});
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r2.status().code(), StatusCode::kCorruption);
+  std::remove(bad_offsets.c_str());
+
+  // So is a degree order that names a missing node.
+  const std::string bad_order = TempPath("bad_order.flos");
+  FLOS_ASSERT_OK(WriteDiskGraph(er, bad_order));
+  f = std::fopen(bad_order.c_str(), "r+b");
+  const uint64_t n = er.NumNodes();
+  std::fseek(f,
+             static_cast<long>(sizeof(DiskHeader) + (n + 1) * sizeof(uint64_t) +
+                               n * sizeof(double)),
+             SEEK_SET);
+  std::fwrite(&huge_id, sizeof(huge_id), 1, f);
+  std::fclose(f);
+  const auto r3 = DiskGraph::Open(bad_order, DiskGraphOptions{});
+  ASSERT_FALSE(r3.ok());
+  EXPECT_EQ(r3.status().code(), StatusCode::kCorruption);
+  std::remove(bad_order.c_str());
 }
 
 }  // namespace
