@@ -103,7 +103,12 @@ struct ScoredNode {
 /// Per-query search statistics.
 struct FlosStats {
   uint64_t visited_nodes = 0;   ///< |S| = neighbor-list fetches
-  uint64_t expansions = 0;      ///< outer iterations (Algorithm 2)
+  /// Boundary nodes expanded (LocalGraph::Expand calls). Equals
+  /// outer_iterations only with FlosOptions::expansion_batch = 1.
+  uint64_t expansions = 0;
+  /// Outer iterations of Algorithm 2 that expanded the boundary: each
+  /// expands a batch of boundary nodes, then updates the bounds.
+  uint64_t outer_iterations = 0;
   uint64_t inner_iterations = 0;///< total Algorithm-7 sweeps
   bool exact = false;           ///< true iff the top-k was certified
   bool exhausted_component = false;  ///< visited the query's whole component

@@ -25,7 +25,6 @@
 #define FLOS_CORE_FLOS_ENGINE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/flos.h"
@@ -38,6 +37,21 @@
 #include "util/status.h"
 
 namespace flos {
+
+/// A boundary node queued for expansion, with its best-first priority
+/// (Algorithm 3: the rank-interval midpoint, negated for minimized
+/// measures).
+struct FrontierEntry {
+  double priority;
+  LocalId node;
+};
+
+/// The frontier's expansion order, a strict total order: higher priority
+/// first, equal priorities by ascending local id. FlosEngine pops a binary
+/// heap under it, which yields exactly the order a full sort would.
+inline bool ExpandsBefore(const FrontierEntry& a, const FrontierEntry& b) {
+  return a.priority != b.priority ? a.priority > b.priority : a.node < b.node;
+}
 
 /// Long-lived FLoS query workspace over one accessor. Measures and options
 /// may vary freely from call to call.
@@ -103,7 +117,7 @@ class FlosEngine {
   std::vector<Candidate> interior_;
   std::vector<Candidate> selected_;
   std::vector<Candidate> pool_;
-  std::vector<std::pair<double, LocalId>> frontier_;
+  std::vector<FrontierEntry> frontier_;
   /// Filtered queries: match_[local] == 1 iff the node satisfies the
   /// request predicate. Filled incrementally (local ids are append-only
   /// within a query); empty and unused for unfiltered queries.

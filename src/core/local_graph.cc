@@ -31,16 +31,12 @@ void LocalGraphSnapshot::Clear() {
 }
 
 LocalGraph::LocalGraph(GraphAccessor* accessor) : accessor_(accessor) {
-  const bool dense = accessor->DenseIndexHint();
-  const uint64_t n = accessor->NumNodes();
-  global_to_local_.Configure(n, dense);
-  adjacent_index_.Configure(n, dense);
+  index_.Configure(accessor->NumNodes(), accessor->DenseIndexHint());
 }
 
 void LocalGraph::Reset() {
   state_.Clear();
-  global_to_local_.Reset();
-  adjacent_index_.Reset();
+  index_.Reset();
   dirty_.clear();
   dirty_out_.clear();
   in_dirty_.clear();
@@ -132,13 +128,18 @@ void LocalGraph::RowAppend(LocalId i, LocalId j, double p) {
 Status LocalGraph::Add(NodeId global) {
   LocalGraphSnapshot& s = state_;
   const auto local = static_cast<LocalId>(s.local_to_global.size());
-  global_to_local_.Insert(global, local);
+  // Read the adjacency id now: inserting neighbors below may move the slot.
+  NodeSlot* const self = index_.FindOrInsert(global).first;
+  self->local = local;
+  const uint32_t adj = self->adj;
   s.local_to_global.push_back(global);
   in_dirty_.push_back(true);
   dirty_.push_back(local);
 
   FLOS_RETURN_IF_ERROR(accessor_->CopyNeighbors(global, &scratch_));
-  // The degree comes from the accessor, NOT from summing the fetched list:
+  // The degree comes from the accessor (probed when the node first became
+  // adjacent; a query node probes it here), NOT from summing the fetched
+  // list:
   // on truncated rows (a ShardAccessor's halo fringe) the fetched sum is
   // short, and normalizing transitions by it would overweight the visible
   // edges (RowInMass -> 1) and silently delete the escaping mass the upper
@@ -148,7 +149,8 @@ Status LocalGraph::Add(NodeId global) {
   // degree sidecar's own round-trip tolerance (ReadShardGraph's 1e-9
   // cross-check) is indistinguishable from serialization noise and snaps
   // to zero rather than leaving the row boundary forever.
-  const double wi = accessor_->WeightedDegree(global);
+  const double wi = adj != kInvalidLocal ? s.adjacent_degree[adj]
+                                         : accessor_->WeightedDegree(global);
   double visible = 0;
   for (const Neighbor& nb : scratch_) visible += nb.weight;
   double hidden = 0;
@@ -170,14 +172,16 @@ Status LocalGraph::Add(NodeId global) {
   s.row_in_mass.push_back(0.0);
 
   // Build this node's within-S row and patch existing rows/boundary counts
-  // with ONE index probe per neighbor; an unvisited neighbor joins the
-  // adjacency index (with its probed degree) the first time it is seen.
+  // with ONE index probe per neighbor; an unvisited neighbor gets its
+  // adjacency id (with its probed degree) the first time it is seen.
   uint32_t outside = 0;
   for (const Neighbor& nb : scratch_) {
-    const LocalId j = LocalIndex(nb.id);
+    const auto [slot, inserted] = index_.FindOrInsert(nb.id);
+    const LocalId j = slot->local;
     if (j == kInvalidLocal) {
       ++outside;
-      if (adjacent_index_.Insert(nb.id, AdjacentCount())) {
+      if (inserted) {
+        slot->adj = AdjacentCount();
         s.adjacent.push_back(nb.id);
         s.adjacent_degree.push_back(accessor_->WeightedDegree(nb.id));
       }
@@ -259,6 +263,7 @@ Result<uint32_t> LocalGraph::Expand(LocalId u) {
   for (const Neighbor& nb : Neighbors(u)) {
     if (LocalIndex(nb.id) == kInvalidLocal) expand_scratch_.push_back(nb.id);
   }
+  accessor_->PrefetchNeighbors(expand_scratch_);
   for (const NodeId v : expand_scratch_) {
     FLOS_RETURN_IF_ERROR(Add(v));
   }
@@ -276,11 +281,9 @@ const std::vector<LocalId>& LocalGraph::TakeDirtyNodes() {
 }
 
 double LocalGraph::ProbeDegree(NodeId global) {
-  if (const uint32_t* k = adjacent_index_.Find(global)) {
-    return state_.adjacent_degree[*k];
-  }
-  if (const LocalId local = LocalIndex(global); local != kInvalidLocal) {
-    return state_.weighted_degree[local];
+  if (const NodeSlot* slot = index_.Find(global)) {
+    return slot->adj != kInvalidLocal ? state_.adjacent_degree[slot->adj]
+                                      : state_.weighted_degree[slot->local];
   }
   return accessor_->WeightedDegree(global);
 }
@@ -296,11 +299,11 @@ void LocalGraph::RestoreSnapshot(const LocalGraphSnapshot& snap) {
              "RestoreSnapshot requires the pre-Init state (call Reset)");
   state_ = snap;
   const uint32_t n = Size();
-  for (LocalId i = 0; i < n; ++i) {
-    global_to_local_.Insert(state_.local_to_global[i], i);
-  }
   for (uint32_t k = 0; k < AdjacentCount(); ++k) {
-    adjacent_index_.Insert(state_.adjacent[k], k);
+    index_.FindOrInsert(state_.adjacent[k]).first->adj = k;
+  }
+  for (LocalId i = 0; i < n; ++i) {
+    index_.FindOrInsert(state_.local_to_global[i]).first->local = i;
   }
   // Every node dirty: the consuming bound engine recomputes all boundary
   // coefficients on its next refresh instead of trusting any prior state.

@@ -20,7 +20,7 @@
 //
 // Reuse: a LocalGraph is a per-worker workspace, not a per-query object.
 // Reset() returns it to the pre-Init state in O(|S|) without releasing any
-// storage — the node-keyed indexes are epoch-versioned (core/node_index.h)
+// storage — the node index is epoch-versioned (core/node_index.h)
 // and every per-query vector keeps its capacity — so steady-state queries
 // perform no allocation and no hashing on the hot membership checks when
 // the accessor advertises DenseIndexHint().
@@ -59,9 +59,8 @@ struct LocalRow {
 /// The whole per-query state of a LocalGraph in one copyable struct. The
 /// live workspace holds one, and the warm-subgraph cache
 /// (core/subgraph_cache.h) stores a copy: SaveSnapshot is one assignment,
-/// RestoreSnapshot one assignment plus rebuilding the two node-keyed
-/// indexes (visited set and adjacency index) from `local_to_global` and
-/// `adjacent`, with no accessor call.
+/// RestoreSnapshot one assignment plus rebuilding the node index from
+/// `local_to_global` and `adjacent`, with no accessor call.
 ///
 /// Adjacency lives in one flat, append-only arena. Visited node i owns the
 /// exact-size span [span[i], span[i+1]): `neighbors` holds its fetched list
@@ -106,12 +105,21 @@ struct LocalGraphSnapshot {
   void Clear();
 };
 
+/// One entry of the workspace's node index: a node's local id once it is
+/// visited, and its adjacency id once it was first adjacent to S. Each is
+/// kInvalidLocal until then, so one lookup answers "visited?", "adjacent?"
+/// and both ids.
+struct NodeSlot {
+  LocalId local = kInvalidLocal;
+  uint32_t adj = kInvalidLocal;
+};
+
 /// The visited subgraph S with its boundary bookkeeping.
 class LocalGraph {
  public:
-  /// `accessor` must outlive the LocalGraph. Allocates the visited-set
-  /// index sized to the accessor's hint (dense stamp arrays for in-memory
-  /// graphs, open-addressing hashing for disk graphs).
+  /// `accessor` must outlive the LocalGraph. Allocates the node index
+  /// sized to the accessor's hint (a dense slot array for in-memory graphs,
+  /// open-addressing hashing for disk graphs).
   explicit LocalGraph(GraphAccessor* accessor);
 
   LocalGraph(const LocalGraph&) = delete;
@@ -131,7 +139,8 @@ class LocalGraph {
   void Reset();
 
   /// Expands node `u` (must be visited): every unvisited neighbor of `u`
-  /// joins S. Returns the number of nodes added.
+  /// joins S, in list order, after one GraphAccessor::PrefetchNeighbors
+  /// hint naming all of them. Returns the number of nodes added.
   Result<uint32_t> Expand(LocalId u);
 
   /// Number of visited nodes |S|.
@@ -139,14 +148,14 @@ class LocalGraph {
 
   /// True iff `global` is visited.
   bool Contains(NodeId global) const {
-    return global_to_local_.Contains(global);
+    return LocalIndex(global) != kInvalidLocal;
   }
 
   /// Local id of a visited node, or kInvalidLocal. Single index probe;
   /// prefer one LocalIndex call over Contains-then-LocalIndex pairs.
   LocalId LocalIndex(NodeId global) const {
-    const LocalId* local = global_to_local_.Find(global);
-    return local == nullptr ? kInvalidLocal : *local;
+    const NodeSlot* slot = index_.Find(global);
+    return slot == nullptr ? kInvalidLocal : slot->local;
   }
 
   NodeId GlobalId(LocalId local) const { return state_.local_to_global[local]; }
@@ -236,8 +245,17 @@ class LocalGraph {
   /// Adjacency id of `global`, or kInvalidLocal if it was never adjacent
   /// to S. Every unvisited neighbor of a visited node has one.
   uint32_t AdjacentIndex(NodeId global) const {
-    const uint32_t* k = adjacent_index_.Find(global);
-    return k == nullptr ? kInvalidLocal : *k;
+    const NodeSlot* slot = index_.Find(global);
+    return slot == nullptr ? kInvalidLocal : slot->adj;
+  }
+
+  /// Adjacency id of `global` if it is unvisited and adjacent to S (in
+  /// delta-S-bar), else kInvalidLocal. One index probe; the boundary scans
+  /// of the bound engine call it once per outside edge.
+  uint32_t OutsideAdjacentIndex(NodeId global) const {
+    const NodeSlot* slot = index_.Find(global);
+    return slot == nullptr || slot->local != kInvalidLocal ? kInvalidLocal
+                                                           : slot->adj;
   }
 
   NodeId AdjacentNode(uint32_t k) const { return state_.adjacent[k]; }
@@ -266,7 +284,7 @@ class LocalGraph {
 
   /// True iff `global` is unvisited but adjacent to S (in delta-S-bar).
   bool IsOutsideAdjacent(NodeId global) const {
-    return adjacent_index_.Contains(global) && !Contains(global);
+    return OutsideAdjacentIndex(global) != kInvalidLocal;
   }
 
   GraphAccessor* accessor() { return accessor_; }
@@ -294,7 +312,9 @@ class LocalGraph {
   void RestoreSnapshot(const LocalGraphSnapshot& snap);
 
  private:
-  /// Fetches `global`'s list into a new span and joins it to S. Returns
+  /// Fetches `global`'s list into a new span and joins it to S. A node
+  /// that was adjacent takes the degree probed at its first adjacency; a
+  /// query node probes it here. Returns
   /// Corruption when a visited neighbor's list does not name `global`
   /// (asymmetric adjacency would overflow that neighbor's span).
   Status Add(NodeId global);
@@ -311,9 +331,9 @@ class LocalGraph {
 
   GraphAccessor* accessor_;
   LocalGraphSnapshot state_;
-  NodeMap<LocalId> global_to_local_;
-  /// NodeId -> adjacency id (index into state_.adjacent).
-  NodeMap<uint32_t> adjacent_index_;
+  /// NodeId -> {local id, adjacency id}: every visited or ever-adjacent
+  /// node has a slot.
+  NodeMap<NodeSlot> index_;
   std::vector<Neighbor> scratch_;        // fetch buffer in Add
   std::vector<NodeId> expand_scratch_;   // unvisited neighbors in Expand
   std::vector<LocalId> relax_scratch_;   // hop-distance relaxation queue

@@ -6,10 +6,11 @@
 // bumping an epoch counter: a slot whose stamp differs from the current
 // epoch is simply "absent". Two backends share one interface:
 //
-//   * dense  — stamp + value arrays indexed by NodeId. O(1) true random
-//     access, but O(NumNodes()) memory per map. The right choice for
-//     in-memory CSR graphs, where node count is known and a few bytes per
-//     node per worker thread is cheap (see GraphAccessor::DenseIndexHint).
+//   * dense  — one {stamp, value} slot per NodeId, so a lookup reads both
+//     with one random access. O(1), but O(NumNodes()) memory per
+//     map. The right choice for in-memory CSR graphs, where node count is
+//     known and a few bytes per node per worker thread is cheap (see
+//     GraphAccessor::DenseIndexHint).
 //   * sparse — open-addressing hash table (linear probing, power-of-two
 //     capacity, epoch-stamped slots). Memory proportional to the visited
 //     set, so it also serves disk-resident graphs whose node count may
@@ -22,8 +23,8 @@
 #ifndef FLOS_CORE_NODE_INDEX_H_
 #define FLOS_CORE_NODE_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -43,18 +44,15 @@ class NodeMap {
   /// backend. Callable repeatedly; switching backends drops storage.
   void Configure(uint64_t num_nodes, bool dense) {
     if (dense_ != dense) {
-      dense_stamp_.clear();
-      dense_stamp_.shrink_to_fit();
-      dense_value_.clear();
-      dense_value_.shrink_to_fit();
+      dense_slots_.clear();
+      dense_slots_.shrink_to_fit();
       slots_.clear();
       slots_.shrink_to_fit();
       epoch_ = 0;
     }
     dense_ = dense;
     if (dense_) {
-      dense_stamp_.resize(num_nodes, 0);
-      dense_value_.resize(num_nodes);
+      dense_slots_.resize(num_nodes);
     } else if (slots_.empty()) {
       slots_.resize(kInitialSlots);
     }
@@ -68,7 +66,7 @@ class NodeMap {
     if (epoch_ == 0) {  // wrapped: stale stamps could alias; hard-clear
       epoch_ = 1;
       if (dense_) {
-        std::fill(dense_stamp_.begin(), dense_stamp_.end(), 0);
+        for (DenseSlot& s : dense_slots_) s.stamp = 0;
       } else {
         for (Slot& s : slots_) s.stamp = 0;
       }
@@ -78,8 +76,8 @@ class NodeMap {
       // equal (or exceed) the new epoch, otherwise a dead entry from an
       // earlier query would resurrect as live. O(capacity), audit only.
       if (dense_) {
-        for (const uint32_t stamp : dense_stamp_) {
-          FLOS_CHECK_LT(stamp, epoch_, "stale stamp aliases the new epoch");
+        for (const DenseSlot& s : dense_slots_) {
+          FLOS_CHECK_LT(s.stamp, epoch_, "stale stamp aliases the new epoch");
         }
       } else {
         for (const Slot& s : slots_) {
@@ -93,15 +91,15 @@ class NodeMap {
   uint32_t size() const { return size_; }
 
   /// Pointer to the value for `key`, or nullptr if absent. The pointer is
-  /// invalidated by the next Insert (sparse backend may rehash).
+  /// invalidated by the next insertion (sparse backend may rehash).
   V* Find(NodeId key) {
     if (dense_) {
-      FLOS_DCHECK(key < dense_stamp_.size(), "NodeMap key out of range");
+      FLOS_DCHECK(key < dense_slots_.size(), "NodeMap key out of range");
+      DenseSlot& s = dense_slots_[key];
       // A stamp from the future would alias as "present" after the next
       // Reset; the wrap handling in Reset() must make this impossible.
-      FLOS_DCHECK_LE(dense_stamp_[key], epoch_,
-                     "NodeMap stamp ahead of current epoch");
-      return dense_stamp_[key] == epoch_ ? &dense_value_[key] : nullptr;
+      FLOS_DCHECK_LE(s.stamp, epoch_, "NodeMap stamp ahead of current epoch");
+      return s.stamp == epoch_ ? &s.value : nullptr;
     }
     for (uint64_t i = Hash(key);; ++i) {
       Slot& s = slots_[i & (slots_.size() - 1)];
@@ -115,21 +113,19 @@ class NodeMap {
     return const_cast<NodeMap*>(this)->Find(key);
   }
 
-  /// True iff `key` has an entry.
-  bool Contains(NodeId key) const { return Find(key) != nullptr; }
-
-  /// Inserts `key` -> `value` if absent. Returns true if inserted, false
-  /// if the key was already present (existing value untouched).
-  bool Insert(NodeId key, const V& value) {
+  /// Pointer to the value for `key`, inserting a default-constructed V
+  /// first if absent; `.second` is true iff it was inserted. One probe
+  /// either way. The pointer is invalidated by the next insertion.
+  std::pair<V*, bool> FindOrInsert(NodeId key) {
     if (dense_) {
-      FLOS_DCHECK(key < dense_stamp_.size(), "NodeMap key out of range");
-      FLOS_DCHECK_LE(dense_stamp_[key], epoch_,
-                     "NodeMap stamp ahead of current epoch");
-      if (dense_stamp_[key] == epoch_) return false;
-      dense_stamp_[key] = epoch_;
-      dense_value_[key] = value;
+      FLOS_DCHECK(key < dense_slots_.size(), "NodeMap key out of range");
+      DenseSlot& s = dense_slots_[key];
+      FLOS_DCHECK_LE(s.stamp, epoch_, "NodeMap stamp ahead of current epoch");
+      if (s.stamp == epoch_) return {&s.value, false};
+      s.stamp = epoch_;
+      s.value = V{};
       ++size_;
-      return true;
+      return {&s.value, true};
     }
     if ((size_ + 1) * 2 > slots_.size()) Grow();
     for (uint64_t i = Hash(key);; ++i) {
@@ -137,16 +133,21 @@ class NodeMap {
       if (s.stamp != epoch_) {
         s.stamp = epoch_;
         s.key = key;
-        s.value = value;
+        s.value = V{};
         ++size_;
-        return true;
+        return {&s.value, true};
       }
-      if (s.key == key) return false;
+      if (s.key == key) return {&s.value, false};
     }
   }
 
  private:
   static constexpr size_t kInitialSlots = 1024;  // power of two
+
+  struct DenseSlot {
+    uint32_t stamp = 0;
+    V value{};
+  };
 
   struct Slot {
     uint32_t stamp = 0;
@@ -178,9 +179,8 @@ class NodeMap {
   bool dense_ = false;
   uint32_t epoch_ = 0;
   uint32_t size_ = 0;
-  std::vector<uint32_t> dense_stamp_;  // dense backend
-  std::vector<V> dense_value_;
-  std::vector<Slot> slots_;  // sparse backend
+  std::vector<DenseSlot> dense_slots_;  // dense backend
+  std::vector<Slot> slots_;             // sparse backend
 };
 
 }  // namespace flos

@@ -170,9 +170,8 @@ UnifiedBoundEngine::OutsideUppers UnifiedBoundEngine::ComputeOutsideUppers() {
     if (!local_->IsBoundary(u)) continue;
     const double ru = local_->IsQueryLocal(u) ? 1.0 : upper(u);
     for (const Neighbor& nb : local_->Neighbors(u)) {
-      if (local_->Contains(nb.id)) continue;
-      const uint32_t k = local_->AdjacentIndex(nb.id);
-      FLOS_DCHECK(k != kInvalidLocal, "unvisited neighbor has no adjacency id");
+      const uint32_t k = local_->OutsideAdjacentIndex(nb.id);
+      if (k == kInvalidLocal) continue;  // visited
       const double wv = local_->AdjacentDegree(k);
       if (wv <= 0) continue;
       outside_mass_[k] += nb.weight / wv;
@@ -224,11 +223,12 @@ void UnifiedBoundEngine::RefreshBoundaryCoefficients() {
     double out_mass = 0;        // sum over VISIBLE unvisited nbrs of p_iv
     double loop_mass = 0;       // sum of p_iv * p_vi
     for (const Neighbor& nb : local_->Neighbors(i)) {
-      if (local_->Contains(nb.id)) continue;
+      const uint32_t k = local_->OutsideAdjacentIndex(nb.id);
+      if (k == kInvalidLocal) continue;  // visited
       const double p_iv = nb.weight / wi;
       out_mass += p_iv;
       if (options_.self_loop_tightening) {
-        const double wv = local_->ProbeDegree(nb.id);
+        const double wv = local_->AdjacentDegree(k);
         if (wv > 0) loop_mass += p_iv * (nb.weight / wv);
       }
     }

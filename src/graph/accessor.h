@@ -12,6 +12,7 @@
 #define FLOS_GRAPH_ACCESSOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -64,6 +65,13 @@ class GraphAccessor {
   /// Appends nothing and overwrites `*out` with u's neighbors (sorted by id).
   /// Non-const: implementations count fetches and may touch caches.
   virtual Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) = 0;
+
+  /// Hint that CopyNeighbors will be called next for each of `nodes`, in
+  /// that order, so an implementation may start loading those rows now.
+  /// Changes no result and no counter; the default does nothing.
+  virtual void PrefetchNeighbors(std::span<const NodeId> nodes) {
+    (void)nodes;
+  }
 
   /// Node ids sorted by descending weighted degree. Used by FLoS_RWR to
   /// bound the maximum degree among unvisited nodes.
@@ -130,6 +138,9 @@ class InMemoryAccessor final : public GraphAccessor {
     return graph_->WeightedDegree(u);
   }
   Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) override;
+  void PrefetchNeighbors(std::span<const NodeId> nodes) override {
+    graph_->PrefetchNeighbors(nodes);
+  }
   const std::vector<NodeId>& DegreeOrder() const override {
     return graph_->DegreeOrder();
   }

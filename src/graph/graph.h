@@ -67,6 +67,18 @@ class Graph {
     return {weights_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
   }
 
+  /// Software-prefetches the CSR rows of `nodes`: every offsets entry
+  /// first, then the start of each id and weight row, so the misses of the
+  /// whole batch overlap instead of following one another. A pure hint.
+  void PrefetchNeighbors(std::span<const NodeId> nodes) const {
+    for (const NodeId u : nodes) __builtin_prefetch(offsets_.data() + u);
+    for (const NodeId u : nodes) {
+      const uint64_t start = offsets_[u];
+      __builtin_prefetch(neighbors_.data() + start);
+      __builtin_prefetch(weights_.data() + start);
+    }
+  }
+
   /// Returns the weight of edge {u, v}, or 0 if absent. O(log deg(u)).
   double EdgeWeight(NodeId u, NodeId v) const;
 

@@ -33,6 +33,7 @@
 #define FLOS_GRAPH_PARTITION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,6 +146,9 @@ class ShardAccessor final : public GraphAccessor {
     return meta_->global_degree[u];
   }
   Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) override;
+  void PrefetchNeighbors(std::span<const NodeId> nodes) override {
+    graph_->PrefetchNeighbors(nodes);
+  }
   const std::vector<NodeId>& DegreeOrder() const override {
     return meta_->degree_order();
   }

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
+#include "core/flos_engine.h"
 #include "measures/exact.h"
 #include "measures/measure.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace flos {
 namespace {
@@ -204,6 +207,83 @@ TEST(FlosTest, MaxVisitedCutoffIsRespected) {
   const FlosResult result = ValueOrDie(FlosTopK(g, 0, 50, options));
   // The cutoff is checked after each expansion, so allow one batch overshoot.
   EXPECT_LE(result.stats.visited_nodes, 30u + g.MaxWeightedDegree());
+}
+
+TEST(FlosTest, OuterIterationsCountExpansionBatches) {
+  const Graph g = RandomConnectedGraph(2000, 6000, 13);
+  for (const Measure measure : {Measure::kPhp, Measure::kTht, Measure::kRwr}) {
+    FlosOptions options;
+    options.measure = measure;
+    options.tht_length = 3;
+    options.expansion_batch = 1;
+    const FlosResult one = ValueOrDie(FlosTopK(g, 7, 10, options));
+    EXPECT_GT(one.stats.outer_iterations, 0u) << MeasureName(measure);
+    EXPECT_EQ(one.stats.outer_iterations, one.stats.expansions)
+        << MeasureName(measure);
+    options.expansion_batch = 0;  // adaptive: several nodes per iteration
+    const FlosResult adaptive = ValueOrDie(FlosTopK(g, 7, 10, options));
+    EXPECT_GT(adaptive.stats.outer_iterations, 0u) << MeasureName(measure);
+    EXPECT_LT(adaptive.stats.outer_iterations, adaptive.stats.expansions)
+        << MeasureName(measure);
+  }
+}
+
+// The frontier is popped from a binary heap; its expansion order must be
+// the full sort's under the same total order, ties included.
+TEST(FrontierOrderTest, HeapPopsMatchAFullSort) {
+  Rng rng(5);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<FrontierEntry> entries;
+    const auto n = static_cast<LocalId>(1 + rng.NextBounded(300));
+    for (LocalId i = 0; i < n; ++i) {
+      // Few distinct priorities, so most entries tie with others.
+      entries.push_back(
+          {static_cast<double>(rng.NextBounded(6)) * 0.25, (i * 7919) % n});
+    }
+    std::vector<FrontierEntry> sorted = entries;
+    std::sort(sorted.begin(), sorted.end(), ExpandsBefore);
+    const auto heap_less = [](const FrontierEntry& a,
+                              const FrontierEntry& b) {
+      return ExpandsBefore(b, a);
+    };
+    std::make_heap(entries.begin(), entries.end(), heap_less);
+    for (size_t popped = 0; popped < sorted.size(); ++popped) {
+      const auto end = entries.end() - static_cast<ptrdiff_t>(popped);
+      std::pop_heap(entries.begin(), end, heap_less);
+      ASSERT_EQ((end - 1)->node, sorted[popped].node) << "pop " << popped;
+      ASSERT_EQ((end - 1)->priority, sorted[popped].priority);
+    }
+  }
+}
+
+// A hub with 20 identical spokes, each with one private leaf: after the
+// hub is expanded, every spoke has the same bounds, so the whole frontier
+// ties. Expanding one spoke does not touch the others' equations, so they
+// keep tying, and batch-1 expansion must take them in ascending local id
+// order (the spokes' local ids follow the hub's sorted list).
+TEST(FlosTest, EqualPriorityFrontierExpandsInLocalIdOrder) {
+  constexpr NodeId kSpokes = 20;
+  GraphBuilder builder;
+  for (NodeId i = 1; i <= kSpokes; ++i) {
+    FLOS_ASSERT_OK(builder.AddEdge(0, i, 1.0));
+    FLOS_ASSERT_OK(builder.AddEdge(i, kSpokes + i, 1.0));
+  }
+  const Graph g = ValueOrDie(std::move(builder).Build());
+  for (const Measure measure : {Measure::kPhp, Measure::kTht}) {
+    testing::RecordingAccessor accessor(&g);
+    FlosEngine engine(&accessor);
+    FlosOptions options;
+    options.measure = measure;
+    options.expansion_batch = 1;
+    // k covers every non-query node, so the search visits every node.
+    const FlosResult r = ValueOrDie(engine.TopK(0, 2 * kSpokes, options));
+    EXPECT_EQ(r.stats.visited_nodes, 2 * kSpokes + 1);
+    // Fetches: the hub, its spokes in list order, then one leaf per
+    // expanded spoke.
+    std::vector<NodeId> expected;
+    for (NodeId v = 0; v <= 2 * kSpokes; ++v) expected.push_back(v);
+    EXPECT_EQ(accessor.fetches(), expected) << MeasureName(measure);
+  }
 }
 
 // Locality is what best-first expansion by interval midpoint (Algorithm 3)

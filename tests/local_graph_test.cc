@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/node_index.h"
 #include "graph/accessor.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -14,6 +17,33 @@ namespace {
 using testing::PaperExampleGraph;
 using testing::RandomConnectedGraph;
 using testing::ValueOrDie;
+
+TEST(NodeMapTest, FindOrInsertOnBothBackends) {
+  for (const bool dense : {true, false}) {
+    NodeMap<NodeSlot> map;
+    map.Configure(5000, dense);
+    for (int round = 0; round < 2; ++round) {
+      // 3000 keys outgrow the sparse backend's initial table twice over.
+      for (NodeId v = 0; v < 3000; ++v) {
+        const auto [slot, inserted] = map.FindOrInsert(v * 7 % 5000);
+        ASSERT_TRUE(inserted) << "dense " << dense << " key " << v;
+        EXPECT_EQ(slot->local, kInvalidLocal) << "fresh slots start empty";
+        slot->local = v;
+      }
+      EXPECT_EQ(map.size(), 3000u);
+      for (NodeId v = 0; v < 3000; ++v) {
+        const auto [slot, inserted] = map.FindOrInsert(v * 7 % 5000);
+        EXPECT_FALSE(inserted);
+        EXPECT_EQ(slot->local, v);
+        ASSERT_NE(map.Find(v * 7 % 5000), nullptr);
+      }
+      EXPECT_EQ(map.Find(3000 * 7 % 5000), nullptr);
+      map.Reset();  // the next round must see an empty map
+      EXPECT_EQ(map.size(), 0u);
+      EXPECT_EQ(map.Find(0), nullptr);
+    }
+  }
+}
 
 TEST(LocalGraphTest, InitAddsQueryOnly) {
   const Graph g = PaperExampleGraph();
@@ -206,6 +236,51 @@ TEST(LocalGraphTest, ProbeDegreeCaches) {
   EXPECT_EQ(accessor.stats().degree_probes, before + 1);
 }
 
+TEST(LocalGraphTest, EachDegreeIsProbedOnce) {
+  // A node's degree is probed when it first becomes adjacent (or, for a
+  // query node, when it joins); joining S later reuses that probe.
+  const Graph g = RandomConnectedGraph(200, 600, 3);
+  InMemoryAccessor accessor(&g);
+  LocalGraph local(&accessor);
+  FLOS_ASSERT_OK(local.Init(std::vector<NodeId>{4, 9}));
+  for (LocalId i = 0; i < local.Size() && local.Size() < 120; ++i) {
+    FLOS_ASSERT_OK(local.Expand(i).status());
+  }
+  uint64_t never_adjacent = 0;  // visited without ever being adjacent
+  for (LocalId i = 0; i < local.Size(); ++i) {
+    if (local.AdjacentIndex(local.GlobalId(i)) == kInvalidLocal) {
+      ++never_adjacent;
+    }
+  }
+  EXPECT_EQ(accessor.stats().degree_probes,
+            local.AdjacentCount() + never_adjacent);
+  EXPECT_EQ(accessor.stats().neighbor_fetches, local.Size());
+}
+
+TEST(LocalGraphTest, PrefetchHintNamesTheNextFetchesInOrder) {
+  const Graph g = RandomConnectedGraph(300, 900, 11);
+  testing::RecordingAccessor accessor(&g);
+  LocalGraph local(&accessor);
+  FLOS_ASSERT_OK(local.Init(17));
+  for (LocalId i = 0; i < local.Size() && local.Size() < 150; ++i) {
+    FLOS_ASSERT_OK(local.Expand(i).status());
+  }
+  const auto& fetches = accessor.fetches();
+  const auto& hints = accessor.hints();
+  ASSERT_FALSE(hints.empty());
+  size_t hinted = 0;
+  for (const auto& hint : hints) {
+    ASSERT_LE(hint.fetches_before + hint.nodes.size(), fetches.size());
+    for (size_t e = 0; e < hint.nodes.size(); ++e) {
+      EXPECT_EQ(fetches[hint.fetches_before + e], hint.nodes[e])
+          << "hint naming " << hint.nodes.size() << " nodes, entry " << e;
+    }
+    hinted += hint.nodes.size();
+  }
+  // Every fetch but the query's was announced.
+  EXPECT_EQ(hinted + 1, fetches.size());
+}
+
 // Expands the first boundary node `steps` times.
 void ExpandFirstBoundary(LocalGraph* local, int steps) {
   for (int step = 0; step < steps && !local->Exhausted(); ++step) {
@@ -248,8 +323,15 @@ void ExpectSameState(LocalGraph* a, LocalGraph* b, const Graph& g,
   const uint64_t probes = accessor.stats().degree_probes;
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     ASSERT_EQ(a->Contains(v), b->Contains(v)) << "node " << v;
+    ASSERT_EQ(a->LocalIndex(v), b->LocalIndex(v)) << "node " << v;
+    ASSERT_EQ(a->AdjacentIndex(v), b->AdjacentIndex(v)) << "node " << v;
     ASSERT_EQ(a->IsOutsideAdjacent(v), b->IsOutsideAdjacent(v))
         << "node " << v;
+    // One slot holds both ids: a visited non-query node keeps the
+    // adjacency id it got before it was visited.
+    if (b->Contains(v) && !b->IsQueryLocal(b->LocalIndex(v))) {
+      EXPECT_NE(b->AdjacentIndex(v), kInvalidLocal) << "node " << v;
+    }
     if (a->Contains(v) || a->IsOutsideAdjacent(v)) {
       EXPECT_EQ(a->ProbeDegree(v), b->ProbeDegree(v)) << "node " << v;
     }

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
+#include "graph/accessor.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "measures/measure.h"
@@ -57,6 +59,52 @@ void ExpectTopKMatchesScores(const std::vector<NodeId>& returned,
                              const std::vector<double>& exact_scores,
                              NodeId query, int k, Direction direction,
                              double tol = 1e-7);
+
+/// InMemoryAccessor that logs, in call order, every neighbor fetch and
+/// every PrefetchNeighbors hint, so a test can check which nodes an
+/// algorithm fetched and when it announced them.
+class RecordingAccessor final : public GraphAccessor {
+ public:
+  /// A PrefetchNeighbors call: the nodes it named, and how many fetches
+  /// had happened before it.
+  struct Hint {
+    std::vector<NodeId> nodes;
+    size_t fetches_before = 0;
+  };
+
+  explicit RecordingAccessor(const Graph* graph) : inner_(graph) {}
+
+  uint64_t NumNodes() const override { return inner_.NumNodes(); }
+  uint64_t NumEdges() const override { return inner_.NumEdges(); }
+  double WeightedDegree(NodeId u) override {
+    ++stats_.degree_probes;
+    return inner_.WeightedDegree(u);
+  }
+  Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) override {
+    ++stats_.neighbor_fetches;
+    fetches_.push_back(u);
+    return inner_.CopyNeighbors(u, out);
+  }
+  void PrefetchNeighbors(std::span<const NodeId> nodes) override {
+    hints_.push_back({{nodes.begin(), nodes.end()}, fetches_.size()});
+  }
+  const std::vector<NodeId>& DegreeOrder() const override {
+    return inner_.DegreeOrder();
+  }
+  double MaxWeightedDegree() const override {
+    return inner_.MaxWeightedDegree();
+  }
+  bool DenseIndexHint() const override { return true; }
+
+  /// Every fetched node, in fetch order.
+  const std::vector<NodeId>& fetches() const { return fetches_; }
+  const std::vector<Hint>& hints() const { return hints_; }
+
+ private:
+  InMemoryAccessor inner_;
+  std::vector<NodeId> fetches_;
+  std::vector<Hint> hints_;
+};
 
 }  // namespace testing
 }  // namespace flos
