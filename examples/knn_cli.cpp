@@ -24,21 +24,12 @@
 #include "graph/generators.h"
 #include "graph/labels.h"
 #include "graph/stats.h"
+#include "measures/measure.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
 namespace {
-
-flos::Result<flos::Measure> ParseMeasure(const std::string& name) {
-  if (name == "php") return flos::Measure::kPhp;
-  if (name == "ei") return flos::Measure::kEi;
-  if (name == "dht") return flos::Measure::kDht;
-  if (name == "tht") return flos::Measure::kTht;
-  if (name == "rwr") return flos::Measure::kRwr;
-  return flos::Status::InvalidArgument(
-      "unknown measure '" + name + "' (expected php|ei|dht|tht|rwr)");
-}
 
 flos::Result<std::vector<flos::NodeId>> ReadBatchFile(const std::string& path,
                                                       uint64_t num_nodes) {
@@ -138,7 +129,7 @@ int Run(int argc, char** argv) {
   }
   std::printf("# %s\n", flos::StatsToString(flos::ComputeStats(graph)).c_str());
 
-  auto measure = ParseMeasure(measure_name);
+  auto measure = flos::ParseMeasure(measure_name);
   if (!measure.ok()) {
     std::fprintf(stderr, "%s\n", measure.status().ToString().c_str());
     return 1;

@@ -51,6 +51,16 @@ Enforced policy (see DESIGN.md "Correctness tooling & invariant policy"):
   header-guards   every header uses a classic include guard named
                   FLOS_<PATH>_H_ (no #pragma once), matching its path so
                   moved files cannot silently collide.
+  doc-refs        README.md, EXPERIMENTS.md and the verify notes
+                  (.claude/skills/verify/SKILL.md) name only `bench_<name>`
+                  binaries that bench/CMakeLists.txt builds
+                  (`flos_add_bench(<name>)` or `add_executable(<name>`)
+                  and only BENCH_*.json records that exist at the repo
+                  root, so a deleted bench cannot stay documented as
+                  runnable. A name followed by a file extension
+                  (`bench_output.txt`) is a file, not a binary. DESIGN.md
+                  is out of scope: it keeps the record of removed
+                  alternatives.
 
 Suppression: append `// lint:allow(<rule>)` to the offending line with a
 reason. Suppressions are themselves counted and printed so they stay rare.
@@ -158,8 +168,17 @@ TOKEN_RULES_INTRINSICS = [
 ]
 
 
+# Docs checked by doc-refs. A `bench_` word is a binary name unless a file
+# extension follows it; the trailing \b keeps the backtracking regex from
+# shortening `bench_output.txt` to `bench_outpu`.
+DOC_REF_FILES = ("README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+BENCH_BINARY_RE = re.compile(r"\bbench_\w+\b(?!\.\w)")
+BENCH_RECORD_RE = re.compile(r"\bBENCH_\w+\.json\b")
+BENCH_TARGET_RE = re.compile(r"\b(?:flos_add_bench|add_executable)\(\s*(\w+)")
+
+
 # Every rule name a lint:allow may legitimately reference (header-guards
-# deliberately absent: structural guard violations have no escape hatch).
+# and doc-refs deliberately absent: they have no escape hatch).
 KNOWN_RULES = frozenset(
     name
     for rules in (TOKEN_RULES_LIBRARY, TOKEN_RULES_EVERYWHERE,
@@ -311,6 +330,30 @@ def lint_file(path, root, findings, suppressions):
     return in_library
 
 
+def check_doc_refs(root, findings):
+    """Reports each bench binary or BENCH record a doc names that the tree
+    does not have."""
+    cmake = root / "bench" / "CMakeLists.txt"
+    binaries = set(BENCH_TARGET_RE.findall(
+        cmake.read_text(encoding="utf-8"))) if cmake.is_file() else set()
+    for name in DOC_REF_FILES:
+        path = root / name
+        if not path.is_file():
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for ln, line in enumerate(lines, 1):
+            for m in BENCH_BINARY_RE.finditer(line):
+                if m.group(0) not in binaries:
+                    findings.append((path, ln, "doc-refs",
+                                     f"`{m.group(0)}` is not a binary built "
+                                     "by bench/CMakeLists.txt"))
+            for m in BENCH_RECORD_RE.finditer(line):
+                if not (root / m.group(0)).is_file():
+                    findings.append((path, ln, "doc-refs",
+                                     f"`{m.group(0)}` does not exist at the "
+                                     "repo root"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=None,
@@ -329,6 +372,7 @@ def main() -> int:
     findings, suppressions = [], []
     for path in files:
         lint_file(path, root, findings, suppressions)
+    check_doc_refs(root, findings)
 
     for path, ln, name, msg in findings:
         print(f"{path.relative_to(root)}:{ln}: [{name}] {msg}")

@@ -268,10 +268,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
                             : std::max(best_other, opt);
     }
     bool ok = minimize ? threshold <= best_other : threshold >= best_other;
-#ifdef FLOS_DEBUG_TERMINATION
-    std::fprintf(stderr, "[term] |S|=%u interior=%zu thr=%g other=%g ok=%d\n",
-                 local_.Size(), interior_.size(), threshold, best_other, ok);
-#endif
     if (!ok) return false;
     if (mode == RankMode::kDegreeWeighted) {
       // Unvisited nodes, refined beyond Section 5.6's w(unvisited) * max

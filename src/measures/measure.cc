@@ -44,4 +44,14 @@ std::string MeasureName(Measure m) {
   return "?";
 }
 
+Result<Measure> ParseMeasure(const std::string& name) {
+  if (name == "php") return Measure::kPhp;
+  if (name == "ei") return Measure::kEi;
+  if (name == "dht") return Measure::kDht;
+  if (name == "tht") return Measure::kTht;
+  if (name == "rwr") return Measure::kRwr;
+  return Status::InvalidArgument("unknown measure '" + name +
+                                 "' (expected php|ei|dht|tht|rwr)");
+}
+
 }  // namespace flos

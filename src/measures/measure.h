@@ -17,6 +17,8 @@
 
 #include <string>
 
+#include "util/status.h"
+
 namespace flos {
 
 /// Proximity measure identifiers.
@@ -48,6 +50,10 @@ bool HasNoLocalOptimum(Measure m);
 
 /// Short name, e.g. "PHP".
 std::string MeasureName(Measure m);
+
+/// Parses the lowercase command-line name of a measure
+/// (php|ei|dht|tht|rwr); anything else is InvalidArgument.
+Result<Measure> ParseMeasure(const std::string& name);
 
 }  // namespace flos
 

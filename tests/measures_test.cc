@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "measures/measure.h"
 #include "tests/test_util.h"
 
@@ -29,6 +32,25 @@ TEST(MeasureTest, DirectionsAndProperties) {
   EXPECT_TRUE(IsCloser(Direction::kMaximize, 2.0, 1.0));
   EXPECT_TRUE(IsCloser(Direction::kMinimize, 1.0, 2.0));
   EXPECT_EQ(MeasureName(Measure::kTht), "THT");
+}
+
+TEST(MeasureTest, ParseMeasureRoundTripsLowercaseNames) {
+  for (const Measure m : {Measure::kPhp, Measure::kEi, Measure::kDht,
+                          Measure::kTht, Measure::kRwr}) {
+    std::string name = MeasureName(m);
+    for (char& ch : name) {
+      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+    }
+    EXPECT_EQ(ValueOrDie(ParseMeasure(name)), m) << name;
+  }
+  for (const char* bad : {"", "PHP", "pagerank"}) {
+    const Result<Measure> parsed = ParseMeasure(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              std::string("unknown measure '") + bad +
+                  "' (expected php|ei|dht|tht|rwr)");
+  }
 }
 
 TEST(ExactPhpTest, PaperPathGraphValues) {
